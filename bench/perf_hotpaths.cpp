@@ -418,10 +418,10 @@ KernelBenchRow BenchDctSadKernels() {
   std::uint64_t sum_scalar = 0;
   row.sad_scalar_mpix_s = time_sad(scalar, &sum_scalar);
 
-  // Measure every supported non-scalar table even under SIEVE_FORCE_SCALAR
-  // or SIEVE_KERNEL_ARCH: the env pins production dispatch, not the A/B
-  // harness. CompiledArches() lists narrow-to-wide, so the last supported
-  // entry is the best table — its column also fills the legacy simd fields.
+  // Measure every supported non-scalar table even under SIEVE_KERNEL_ARCH:
+  // the env pins production dispatch, not the A/B harness. CompiledArches()
+  // lists narrow-to-wide, so the last supported entry is the best table —
+  // its column also fills the legacy simd fields.
   for (simd::KernelArch arch : simd::CompiledArches()) {
     if (arch == simd::KernelArch::kScalar || !simd::ArchSupported(arch)) {
       continue;

@@ -13,24 +13,33 @@ namespace sieve::codec {
 namespace {
 
 constexpr int kAnalysisBlock = 8;  // MB size at half resolution
+constexpr int kAnalysisArea = kAnalysisBlock * kAnalysisBlock;
+static_assert((kAnalysisArea & (kAnalysisArea - 1)) == 0,
+              "the exact integer intra cost needs a power-of-two block area");
 
 /// Total absolute deviation of a block from its mean: a SATD-like proxy for
 /// intra coding cost that grows with texture.
-double BlockIntraCost(const media::Plane& p, int bx, int by, int size) {
-  double sum = 0;
+///
+/// Interior blocks use the exact integer form sum|n*x - S| / n (n pixels,
+/// S their sum). It is bit-identical to accumulating |x - S/n| in doubles:
+/// n = 64 is a power of two, so every term and partial sum of that double
+/// loop is a multiple of 1/64 below 2^20 and is represented exactly.
+double BlockIntraCost(const media::Plane& p, int bx, int by) {
+  constexpr int size = kAnalysisBlock;
   if (p.ContainsRect(bx, by, size, size)) {
+    int sum = 0;
     for (int y = 0; y < size; ++y) {
       const std::uint8_t* row = p.row(by + y) + bx;
       for (int x = 0; x < size; ++x) sum += row[x];
     }
-    const double mean = sum / double(size * size);
-    double dev = 0;
+    int dev = 0;
     for (int y = 0; y < size; ++y) {
       const std::uint8_t* row = p.row(by + y) + bx;
-      for (int x = 0; x < size; ++x) dev += std::abs(double(row[x]) - mean);
+      for (int x = 0; x < size; ++x) dev += std::abs(kAnalysisArea * row[x] - sum);
     }
-    return dev;
+    return double(dev) / double(kAnalysisArea);
   }
+  double sum = 0;
   int n = 0;
   for (int y = 0; y < size; ++y) {
     for (int x = 0; x < size; ++x) {
@@ -52,9 +61,11 @@ double BlockIntraCost(const media::Plane& p, int bx, int by, int size) {
 double DeadzoneSad(const media::Plane& cur, const media::Plane& ref, int bx,
                    int by, int size, MotionVector mv, int deadzone) {
   const int sx = bx + mv.dx, sy = by + mv.dy;
-  double acc = 0;
   if (cur.ContainsRect(bx, by, size, size) &&
       ref.ContainsRect(sx, sy, size, size)) {
+    // Integer sums below 2^53 are exact in double, so accumulating in int
+    // and converting once gives the same value as the clamped loop below.
+    int acc = 0;
     for (int y = 0; y < size; ++y) {
       const std::uint8_t* rc = cur.row(by + y) + bx;
       const std::uint8_t* rr = ref.row(sy + y) + sx;
@@ -63,8 +74,9 @@ double DeadzoneSad(const media::Plane& cur, const media::Plane& ref, int bx,
         if (d > deadzone) acc += d - deadzone;
       }
     }
-    return acc;
+    return double(acc);
   }
+  double acc = 0;
   for (int y = 0; y < size; ++y) {
     for (int x = 0; x < size; ++x) {
       const int d = std::abs(int(cur.at_clamped(bx + x, by + y)) -
@@ -89,7 +101,7 @@ RowCost AnalyzeBlockRow(const media::Plane& cur, const media::Plane* prev,
   MotionVector predictor{0, 0};
   for (int mx = 0; mx < mbs_x; ++mx) {
     const int bx = mx * bs, by = my * bs;
-    const double ic = BlockIntraCost(cur, bx, by, bs) + 1.0;
+    const double ic = BlockIntraCost(cur, bx, by) + 1.0;
     out.intra += ic;
     if (prev != nullptr) {
       const MotionResult mr =

@@ -34,6 +34,16 @@ void LoadBlock(const media::Plane& p, int bx, int by, int offset,
 /// pixels outside the plane are dropped (edge padding).
 void StoreBlock(const PixelBlock& block, int bx, int by, int offset,
                 media::Plane& p) {
+  if (p.ContainsRect(bx, by, kBlockSize, kBlockSize)) {
+    for (int y = 0; y < kBlockSize; ++y) {
+      const std::int16_t* src = block.data() + y * kBlockSize;
+      std::uint8_t* row = p.row(by + y) + bx;
+      for (int x = 0; x < kBlockSize; ++x) {
+        row[x] = std::uint8_t(std::clamp(int(src[x]) + offset, 0, 255));
+      }
+    }
+    return;
+  }
   for (int y = 0; y < kBlockSize; ++y) {
     if (by + y >= p.height()) break;
     for (int x = 0; x < kBlockSize; ++x) {

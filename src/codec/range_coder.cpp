@@ -1,41 +1,14 @@
 #include "codec/range_coder.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace sieve::codec {
-
-namespace {
-constexpr std::uint32_t kTopValue = 1u << 24;
-constexpr int kModelTotalBits = 11;  // probabilities out of 2048
-constexpr int kMoveBits = 5;         // adaptation rate
-}  // namespace
-
-void RangeEncoder::EncodeBit(BitModel& model, int bit) {
-  const std::uint32_t bound = (range_ >> kModelTotalBits) * model.prob;
-  if (bit == 0) {
-    range_ = bound;
-    model.prob =
-        std::uint16_t(model.prob + (((1u << kModelTotalBits) - model.prob) >> kMoveBits));
-  } else {
-    low_ += bound;
-    range_ -= bound;
-    model.prob = std::uint16_t(model.prob - (model.prob >> kMoveBits));
-  }
-  while (range_ < kTopValue) {
-    ShiftLow();
-    range_ <<= 8;
-  }
-}
 
 void RangeEncoder::EncodeDirectBits(std::uint32_t value, int num_bits) {
   for (int i = num_bits - 1; i >= 0; --i) {
     range_ >>= 1;
     if ((value >> i) & 1u) low_ += range_;
-    while (range_ < kTopValue) {
-      ShiftLow();
-      range_ <<= 8;
-    }
+    Normalize();
   }
 }
 
@@ -63,83 +36,10 @@ void RangeEncoder::Flush() {
   for (int i = 0; i < 5; ++i) ShiftLow();
 }
 
-void RangeEncoder::ShiftLow() {
-  if (std::uint32_t(low_) < 0xFF000000u || (low_ >> 32) != 0) {
-    std::uint8_t carry = std::uint8_t(low_ >> 32);
-    std::uint8_t byte = cache_;
-    do {
-      out_->PutU8(std::uint8_t(byte + carry));
-      byte = 0xFF;
-    } while (--cache_size_ != 0);
-    cache_ = std::uint8_t(low_ >> 24);
-  }
-  ++cache_size_;
-  low_ = (low_ << 8) & 0xFFFFFFFFull;
-}
-
 RangeDecoder::RangeDecoder(std::span<const std::uint8_t> data) : data_(data) {
   // The first encoder output byte is always 0 (initial cache); consume 5
   // bytes to fill the 32-bit code register.
   for (int i = 0; i < 5; ++i) code_ = (code_ << 8) | NextByte();
-}
-
-int RangeDecoder::DecodeBit(BitModel& model) {
-  const std::uint32_t bound = (range_ >> kModelTotalBits) * model.prob;
-  int bit;
-  if (code_ < bound) {
-    range_ = bound;
-    model.prob =
-        std::uint16_t(model.prob + (((1u << kModelTotalBits) - model.prob) >> kMoveBits));
-    bit = 0;
-  } else {
-    code_ -= bound;
-    range_ -= bound;
-    model.prob = std::uint16_t(model.prob - (model.prob >> kMoveBits));
-    bit = 1;
-  }
-  while (range_ < kTopValue) {
-    range_ <<= 8;
-    code_ = (code_ << 8) | NextByte();
-  }
-  return bit;
-}
-
-std::uint32_t RangeDecoder::DecodeDirectBits(int num_bits) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < num_bits; ++i) {
-    range_ >>= 1;
-    std::uint32_t bit = 0;
-    if (code_ >= range_) {
-      code_ -= range_;
-      bit = 1;
-    }
-    value = (value << 1) | bit;
-    while (range_ < kTopValue) {
-      range_ <<= 8;
-      code_ = (code_ << 8) | NextByte();
-    }
-  }
-  return value;
-}
-
-std::uint32_t RangeDecoder::DecodeBitTree(std::span<BitModel> models,
-                                          int num_bits) {
-  std::uint32_t node = 1;
-  for (int i = 0; i < num_bits; ++i) {
-    node = (node << 1) | std::uint32_t(DecodeBit(models[node]));
-  }
-  return node - (1u << num_bits);
-}
-
-std::uint32_t RangeDecoder::DecodeUnsigned(std::span<BitModel> length_models) {
-  // The length tree spans 6 bits (0..63), but a valid stream never encodes a
-  // length above 32: values are 32-bit. A corrupt stream can decode any
-  // length, so clamp before shifting; the garbage value then fails callers'
-  // range checks instead of being a UB shift.
-  const int bits = std::min(int(DecodeBitTree(length_models, 6)), 32);
-  if (bits == 0) return 0;
-  if (bits == 1) return 1;
-  return (1u << (bits - 1)) | DecodeDirectBits(bits - 1);
 }
 
 }  // namespace sieve::codec

@@ -1,5 +1,5 @@
-// Scalar reference kernels + the dispatch machinery. This TU (like the other
-// kernel TUs) is compiled with -ffp-contract=off: the bit-exactness contract
+// Scalar reference kernels + the dispatch machinery. This TU (like all of
+// sieve_core) is compiled with -ffp-contract=off: the bit-exactness contract
 // across scalar/SSE2/NEON depends on no mul+add pair being contracted into an
 // FMA on either side.
 #include "common/simd/kernels.h"
@@ -278,24 +278,14 @@ std::vector<KernelArch> CompiledArches() {
   return arches;
 }
 
-bool ScalarForcedByEnv() noexcept {
-  const char* v = std::getenv("SIEVE_FORCE_SCALAR");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
 bool KernelArchFromEnv(KernelArch* out) noexcept {
-  if (const char* v = std::getenv("SIEVE_KERNEL_ARCH")) {
-    if (std::strcmp(v, "scalar") == 0) { *out = KernelArch::kScalar; return true; }
-    if (std::strcmp(v, "sse2") == 0)   { *out = KernelArch::kSse2;   return true; }
-    if (std::strcmp(v, "avx2") == 0)   { *out = KernelArch::kAvx2;   return true; }
-    if (std::strcmp(v, "neon") == 0)   { *out = KernelArch::kNeon;   return true; }
-    return false;  // malformed: ignored, hardware-best wins
-  }
-  if (ScalarForcedByEnv()) {
-    *out = KernelArch::kScalar;
-    return true;
-  }
-  return false;
+  const char* v = std::getenv("SIEVE_KERNEL_ARCH");
+  if (v == nullptr) return false;
+  if (std::strcmp(v, "scalar") == 0) { *out = KernelArch::kScalar; return true; }
+  if (std::strcmp(v, "sse2") == 0)   { *out = KernelArch::kSse2;   return true; }
+  if (std::strcmp(v, "avx2") == 0)   { *out = KernelArch::kAvx2;   return true; }
+  if (std::strcmp(v, "neon") == 0)   { *out = KernelArch::kNeon;   return true; }
+  return false;  // malformed: ignored, hardware-best wins
 }
 
 KernelArch BestArch() noexcept {

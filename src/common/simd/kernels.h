@@ -9,18 +9,16 @@
 //    operations in the same order (vectorized across independent *outputs*,
 //    never across a single output's accumulation), use IEEE-exact ops only
 //    (mul/add/div — no FMA, no rsqrt/rcp approximations), and replicate
-//    std::lround's round-half-away-from-zero. The kernel translation units
-//    are compiled with -ffp-contract=off so the compiler cannot contract the
-//    scalar path into FMA either. Consequence: encoded bitstreams are
+//    std::lround's round-half-away-from-zero. The library is compiled with
+//    -ffp-contract=off so the compiler cannot contract the scalar path into
+//    FMA either. Consequence: encoded bitstreams are
 //    byte-identical whichever table is active.
 //
 //  * Dispatch is compile-time gated (each arch TU compiles to a stub
 //    returning nullptr when its ISA is unavailable) plus runtime-verified
 //    (CPUID on x86). The SIEVE_KERNEL_ARCH environment variable
-//    (scalar|sse2|avx2|neon) pins any compiled-in, CPU-supported table;
-//    SIEVE_FORCE_SCALAR — set and not "0" — remains as a legacy alias for
-//    SIEVE_KERNEL_ARCH=scalar. SetActiveKernels() overrides both for tests
-//    and tools.
+//    (scalar|sse2|avx2|neon) pins any compiled-in, CPU-supported table.
+//    SetActiveKernels() overrides it for tests and tools.
 //
 //  * This layer sits at the bottom of the dependency graph (raw pointers and
 //    strides only, no media/codec types) so media/ and codec/ can both call
@@ -135,20 +133,15 @@ std::size_t PackedGemmBSize(int k, int n_cols) noexcept;
 void PackGemmB(const std::int8_t* b, int k, int n_cols,
                std::int8_t* packed) noexcept;
 
-/// True if SIEVE_FORCE_SCALAR is set in the environment (and not "0").
-/// Legacy alias for SIEVE_KERNEL_ARCH=scalar.
-bool ScalarForcedByEnv() noexcept;
-
 /// Parses the SIEVE_KERNEL_ARCH environment override
 /// ("scalar"|"sse2"|"avx2"|"neon"). Returns true and writes `*out` when the
-/// variable is set to a recognized name; malformed values are ignored. When
-/// SIEVE_KERNEL_ARCH is unset, SIEVE_FORCE_SCALAR (set and not "0") reports
-/// kScalar, as before.
+/// variable is set to a recognized name; unset or malformed values are
+/// ignored.
 bool KernelArchFromEnv(KernelArch* out) noexcept;
 
-/// The best supported architecture, honoring SIEVE_KERNEL_ARCH /
-/// SIEVE_FORCE_SCALAR. An env override naming an unsupported or uncompiled
-/// arch is ignored (the hardware-best table is used instead).
+/// The best supported architecture, honoring SIEVE_KERNEL_ARCH. An env
+/// override naming an unsupported or uncompiled arch is ignored (the
+/// hardware-best table is used instead).
 KernelArch BestArch() noexcept;
 
 /// The table the hot paths dispatch through. Resolved on first use from

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "codec/motion.h"
+#include "common/rng.h"
+#include "media/image_ops.h"
 #include "synth/scene.h"
 
 namespace sieve::codec {
@@ -99,6 +105,91 @@ TEST(Analysis, StreamingAnalyzerMatchesBatch) {
     EXPECT_DOUBLE_EQ(cost.intra_cost, batch[f].intra_cost) << "frame " << f;
     EXPECT_DOUBLE_EQ(cost.inter_cost, batch[f].inter_cost) << "frame " << f;
   }
+}
+
+/// Per-pixel reference for FrameAnalyzer's costs on analysis-scale planes:
+/// every pixel read goes through at_clamped() and block costs accumulate in
+/// double. Only the motion search (not rewritten) is shared with the
+/// library; Downsample2x has its own reference test in media/.
+FrameCost ReferenceCosts(const media::Plane& cur, const media::Plane* prev,
+                         const AnalysisParams& params) {
+  constexpr int bs = 8;
+  const int mbs_x = std::max(1, (cur.width() + bs - 1) / bs);
+  const int mbs_y = std::max(1, (cur.height() + bs - 1) / bs);
+  double intra = 0, inter = 0;
+  for (int my = 0; my < mbs_y; ++my) {
+    double row_intra = 0, row_inter = 0;
+    MotionVector predictor{0, 0};
+    for (int mx = 0; mx < mbs_x; ++mx) {
+      const int bx = mx * bs, by = my * bs;
+      double sum = 0;
+      for (int y = 0; y < bs; ++y) {
+        for (int x = 0; x < bs; ++x) sum += cur.at_clamped(bx + x, by + y);
+      }
+      const double mean = sum / double(bs * bs);
+      double dev = 0;
+      for (int y = 0; y < bs; ++y) {
+        for (int x = 0; x < bs; ++x) {
+          dev += std::abs(double(cur.at_clamped(bx + x, by + y)) - mean);
+        }
+      }
+      const double ic = dev + 1.0;
+      row_intra += ic;
+      if (prev == nullptr) continue;
+      const MotionResult mr = DiamondSearch(cur, *prev, bx, by, bs, bs,
+                                            params.search_range, predictor,
+                                            params.lambda);
+      predictor = mr.mv;
+      double sad = 0;
+      for (int y = 0; y < bs; ++y) {
+        for (int x = 0; x < bs; ++x) {
+          const int d = std::abs(int(cur.at_clamped(bx + x, by + y)) -
+                                 int(prev->at_clamped(bx + mr.mv.dx + x,
+                                                      by + mr.mv.dy + y)));
+          if (d > params.noise_deadzone) sad += d - params.noise_deadzone;
+        }
+      }
+      row_inter += std::min(sad, ic);
+    }
+    intra += row_intra;
+    inter += row_inter;
+  }
+  const double n = double(mbs_x) * double(mbs_y);
+  return {intra / n, prev != nullptr ? inter / n : intra / n};
+}
+
+TEST(Analysis, MatchesPerPixelReferenceWithBorderBlocks) {
+  // 100x70 analyses at 50x35: the last block column is 2 pixels wide and
+  // the last block row 3 pixels high, so every frame mixes interior blocks
+  // with clamped border blocks. The second frame is the first shifted by
+  // (3, 2) plus noise, so the inter cost comes from a real motion search.
+  constexpr int kW = 100, kH = 70;
+  Rng rng(29);
+  media::Frame a(kW, kH), b(kW, kH);
+  for (int y = 0; y < kH; ++y) {
+    for (int x = 0; x < kW; ++x) {
+      a.y().at(x, y) = std::uint8_t((x * 7 + y * 13 + rng.UniformInt(0, 60)) & 0xFF);
+    }
+  }
+  for (int y = 0; y < kH; ++y) {
+    for (int x = 0; x < kW; ++x) {
+      const int v = a.y().at_clamped(x - 3, y - 2) + rng.UniformInt(-6, 6);
+      b.y().at(x, y) = std::uint8_t(std::clamp(v, 0, 255));
+    }
+  }
+  const AnalysisParams params;
+  FrameAnalyzer analyzer(params);
+  const media::Plane half_a = media::Downsample2x(a.y());
+  const media::Plane half_b = media::Downsample2x(b.y());
+  const FrameCost first = analyzer.Push(a);
+  const FrameCost want_first = ReferenceCosts(half_a, nullptr, params);
+  EXPECT_EQ(first.intra_cost, want_first.intra_cost);
+  EXPECT_EQ(first.inter_cost, want_first.inter_cost);
+  const FrameCost second = analyzer.Push(b);
+  const FrameCost want_second = ReferenceCosts(half_b, &half_a, params);
+  EXPECT_EQ(second.intra_cost, want_second.intra_cost);
+  EXPECT_EQ(second.inter_cost, want_second.inter_cost);
+  EXPECT_GT(second.inter_cost, 0.0);
 }
 
 TEST(Analysis, ResetForgetsHistory) {

@@ -2,10 +2,68 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "common/rng.h"
+
 namespace sieve::media {
 namespace {
 
 Plane Constant(int w, int h, std::uint8_t v) { return Plane(w, h, v); }
+
+Plane Noise(int w, int h, std::uint64_t seed) {
+  Plane p(w, h);
+  Rng rng(seed);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) p.at(x, y) = std::uint8_t(rng.UniformInt(0, 255));
+  }
+  return p;
+}
+
+bool SamePixels(const Plane& a, const Plane& b) {
+  return a.SameSize(b) && std::equal(a.data(), a.data() + a.size(), b.data());
+}
+
+/// Per-pixel references for the row-pointer fast paths: every read goes
+/// through at()/at_clamped() and every coordinate is recomputed per pixel.
+Plane ReferenceDownsample2x(const Plane& src) {
+  const int w = std::max(1, src.width() / 2);
+  const int h = std::max(1, src.height() / 2);
+  Plane dst(w, h);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      const int sum = src.at_clamped(2 * x, 2 * y) + src.at_clamped(2 * x + 1, 2 * y) +
+                      src.at_clamped(2 * x, 2 * y + 1) +
+                      src.at_clamped(2 * x + 1, 2 * y + 1);
+      dst.at(x, y) = std::uint8_t((sum + 2) / 4);
+    }
+  }
+  return dst;
+}
+
+Plane ReferenceResize(const Plane& src, int new_width, int new_height) {
+  Plane dst(new_width, new_height);
+  const double sx = double(src.width()) / double(new_width);
+  const double sy = double(src.height()) / double(new_height);
+  for (int y = 0; y < new_height; ++y) {
+    const double fy = (double(y) + 0.5) * sy - 0.5;
+    const int y0 = std::clamp(int(std::floor(fy)), 0, src.height() - 1);
+    const int y1 = std::min(y0 + 1, src.height() - 1);
+    const double wy = std::clamp(fy - double(y0), 0.0, 1.0);
+    for (int x = 0; x < new_width; ++x) {
+      const double fx = (double(x) + 0.5) * sx - 0.5;
+      const int x0 = std::clamp(int(std::floor(fx)), 0, src.width() - 1);
+      const int x1 = std::min(x0 + 1, src.width() - 1);
+      const double wx = std::clamp(fx - double(x0), 0.0, 1.0);
+      const double top = double(src.at(x0, y0)) * (1 - wx) + double(src.at(x1, y0)) * wx;
+      const double bot = double(src.at(x0, y1)) * (1 - wx) + double(src.at(x1, y1)) * wx;
+      const double v = top * (1 - wy) + bot * wy;
+      dst.at(x, y) = std::uint8_t(std::clamp(v, 0.0, 255.0) + 0.5);
+    }
+  }
+  return dst;
+}
 
 TEST(Resize, IdentityPreservesPixels) {
   Plane p(8, 8);
@@ -33,6 +91,22 @@ TEST(Resize, UpscaleInterpolatesBetweenValues) {
   EXPECT_LE(r.at(0, 0), r.at(1, 0));
   EXPECT_LE(r.at(1, 0), r.at(2, 0));
   EXPECT_LE(r.at(2, 0), r.at(3, 0));
+}
+
+TEST(Resize, MatchesPerPixelReferenceAtNonIntegerRatios) {
+  struct Case {
+    int src_w, src_h, dst_w, dst_h;
+  };
+  for (const Case c : {Case{37, 23, 14, 9}, Case{37, 23, 50, 31},
+                       Case{37, 23, 100, 61}, Case{37, 23, 1, 1},
+                       Case{37, 23, 37, 23}, Case{1, 1, 5, 3},
+                       Case{3, 1, 7, 2}, Case{160, 120, 300, 300},
+                       Case{320, 240, 112, 84}}) {
+    const Plane src = Noise(c.src_w, c.src_h, 17);
+    EXPECT_TRUE(SamePixels(ResizePlane(src, c.dst_w, c.dst_h),
+                           ReferenceResize(src, c.dst_w, c.dst_h)))
+        << c.src_w << "x" << c.src_h << " -> " << c.dst_w << "x" << c.dst_h;
+  }
 }
 
 TEST(Resize, FrameKeepsChromaSubsampling) {
@@ -99,6 +173,17 @@ TEST(Downsample2x, AveragesQuads) {
   EXPECT_EQ(d.width(), 2);
   EXPECT_EQ(d.height(), 1);
   EXPECT_EQ(d.at(0, 0), 25);  // (10+20+30+40+2)/4
+}
+
+TEST(Downsample2x, MatchesPerPixelReferenceOnRaggedSizes) {
+  // Odd sizes drop the last column/row; 1-pixel sizes clamp the quad.
+  for (const int w : {1, 2, 3, 5, 8, 17}) {
+    for (const int h : {1, 2, 3, 7, 16}) {
+      const Plane src = Noise(w, h, std::uint64_t(w * 100 + h));
+      EXPECT_TRUE(SamePixels(Downsample2x(src), ReferenceDownsample2x(src)))
+          << w << "x" << h;
+    }
+  }
 }
 
 TEST(Downsample2x, HalvesDimensions) {
