@@ -5,32 +5,63 @@
 //
 // Run:  ./edge_cloud_pipeline
 #include <cstdio>
+#include <span>
 
 #include "codec/encoder.h"
-#include "core/system.h"
 #include "core/tuner.h"
 #include "nn/classifier.h"
+#include "runtime/runtime.h"
 #include "synth/scene.h"
 
 namespace {
 
 using namespace sieve;
 
-void Report(const char* label, const core::SystemReport& r,
-            const core::ResultsDatabase& db) {
+/// Stream the pre-encoded video through a one-camera Runtime whose classifier
+/// runs where `placement` says, and print what every tier did.
+bool RunPlacement(const char* label, runtime::PlacementMode placement,
+                  double link_time_scale, const codec::EncodedVideo& video,
+                  const nn::FrameClassifier& classifier) {
+  runtime::RuntimeConfig config;
+  config.default_placement = placement;
+  config.nn_input_size = 64;
+  config.link_time_scale = link_time_scale;
+  runtime::Runtime runtime(config, &classifier);
+
+  runtime::SessionConfig camera;
+  camera.width = video.header.width;
+  camera.height = video.header.height;
+  camera.fps = video.header.fps;
+  camera.encoder.qp = video.header.qp;  // edge decode context
+  auto session = runtime.OpenSession("camera", camera);
+  if (!session.ok()) return false;
+  const std::span<const std::uint8_t> bytes(video.bytes);
+  for (const codec::FrameRecord& record : video.records) {
+    // The frame's bytes as they cross camera->edge (header + payload).
+    const Status pushed = (*session)->PushEncoded(
+        record.type, record.index,
+        bytes.subspan(record.payload_offset - codec::FrameRecord::kHeaderSize,
+                      codec::FrameRecord::kHeaderSize + record.payload_size));
+    if (!pushed.ok()) return false;
+  }
+  const runtime::SessionReport r = (*session)->Drain();
+  auto stages = runtime.Shutdown();
+  if (!stages.ok()) return false;
+
   std::printf("\n[%s]\n", label);
   std::printf("  streamed %zu frames, selected %zu I-frames, wrote %zu labels "
               "in %.2fs (%.0f fps)\n",
-              r.frames_streamed, r.iframes_selected, r.labels_written,
+              r.frames_pushed, r.iframes_selected, r.labels_written,
               r.wall_seconds, r.fps);
   std::printf("  camera->edge %.2f MB, edge->cloud %.3f MB\n",
               double(r.camera_to_edge_bytes) / 1e6,
               double(r.edge_to_cloud_bytes) / 1e6);
-  for (const auto& s : r.stages) {
+  for (const auto& s : *stages) {
     std::printf("  stage %-22s in=%-5zu out=%-5zu busy=%.3fs peakq=%zu\n",
                 s.name.c_str(), s.in, s.out, s.busy_seconds, s.peak_queue);
   }
-  std::printf("  results db rows: %zu\n", db.size());
+  std::printf("  results db rows: %zu\n", (*session)->db().size());
+  return true;
 }
 
 }  // namespace
@@ -65,28 +96,16 @@ int main() {
   if (!classifier.Fit(history.video.frames, history.truth, 4).ok()) return 1;
 
   // Placement 1: I-frame seeking at the edge, NN at the cloud, 30 Mbps WAN.
-  {
-    core::SystemConfig sys;
-    sys.nn_tier = core::NnTier::kCloud;
-    sys.nn_input_size = 64;
-    sys.link_time_scale = 0.05;  // compress modelled link time 20x for demo
-    core::SieveSystem system(sys, &classifier);
-    core::ResultsDatabase db;
-    auto report = system.Run(*encoded, db);
-    if (!report.ok()) return 1;
-    Report("I-frame edge + cloud NN (30 Mbps WAN)", *report, db);
+  // Modelled link time is compressed 20x for the demo.
+  if (!RunPlacement("I-frame edge + cloud NN (30 Mbps WAN)",
+                    runtime::PlacementMode::kCloud, 0.05, *encoded,
+                    classifier)) {
+    return 1;
   }
-
   // Placement 3: everything at the edge; nothing crosses the WAN.
-  {
-    core::SystemConfig sys;
-    sys.nn_tier = core::NnTier::kEdge;
-    sys.nn_input_size = 64;
-    core::SieveSystem system(sys, &classifier);
-    core::ResultsDatabase db;
-    auto report = system.Run(*encoded, db);
-    if (!report.ok()) return 1;
-    Report("I-frame edge + edge NN (no WAN)", *report, db);
+  if (!RunPlacement("I-frame edge + edge NN (no WAN)",
+                    runtime::PlacementMode::kEdge, 0.0, *encoded, classifier)) {
+    return 1;
   }
   return 0;
 }

@@ -9,7 +9,7 @@
 #include "codec/decoder.h"
 #include "codec/encoder.h"
 #include "core/seeker.h"
-#include "core/system.h"
+#include "core/results_db.h"
 #include "core/tuner.h"
 #include "nn/classifier.h"
 #include "synth/datasets.h"

@@ -1,5 +1,5 @@
-// The cloud-side results store, shared by the legacy SieveSystem facade and
-// the multi-camera runtime (each camera session owns one ResultsDatabase).
+// The cloud-side results store: each camera session of the multi-camera
+// runtime owns one ResultsDatabase.
 #pragma once
 
 #include <cstddef>

@@ -37,35 +37,11 @@ Pipeline::~Pipeline() {
   if (need_finish) (void)Finish();
 }
 
-void Pipeline::SetSource(std::string name, SourceFn source) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Configuration is frozen once started: clearing sources_ here would free
-  // SourceSpecs live workers still write to (and destroy joinable threads).
-  // Post-start attachment goes through AttachSource.
-  assert(!started_ && "Pipeline: SetSource after Start()");
-  if (started_) return;
-  sources_.clear();
-  auto spec = std::make_unique<SourceSpec>();
-  spec->name = std::move(name);
-  spec->fn = std::move(source);
-  sources_.push_back(std::move(spec));
-}
-
-void Pipeline::AddSource(std::string name, SourceFn source) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  assert(!started_ && "Pipeline: AddSource after Start(); use AttachSource");
-  if (started_) return;
-  auto spec = std::make_unique<SourceSpec>();
-  spec->name = std::move(name);
-  spec->fn = std::move(source);
-  sources_.push_back(std::move(spec));
-}
-
 void Pipeline::AddStage(std::string name, TransformFn transform,
                         int parallelism, bool ordered) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Same freeze contract as the source mutators: live workers index into
-  // stages_, so growing it mid-flight would race a vector reallocation.
+  // Configuration is frozen once started: live workers index into stages_,
+  // so growing it mid-flight would race a vector reallocation.
   assert(!started_ && "Pipeline: AddStage after Start()");
   if (started_) return;
   stages_.push_back(StageSpec{std::move(name), std::move(transform),
@@ -285,20 +261,6 @@ Expected<std::vector<StageStats>> Pipeline::Finish() {
     for (const auto& s : stage_stats_) stats.push_back(s);
   }
   return stats;
-}
-
-Expected<std::vector<StageStats>> Pipeline::Run() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (started_) {
-      // Source and stat state are consumed by the first run; rerunning would
-      // silently produce an empty, misleading flow.
-      return Status::Precondition("Pipeline: Run() already invoked");
-    }
-    if (sources_.empty()) return Status::Precondition("Pipeline: no source set");
-  }
-  if (Status s = Start(); !s.ok()) return s;
-  return Finish();
 }
 
 }  // namespace sieve::dataflow

@@ -9,16 +9,10 @@
 // Figure 1 are each one Pipeline; the orchestration layer (Echo in the
 // paper) wires their queues together through a RealizedLink stage.
 //
-// Two execution modes:
-//   * Batch: configure everything, then Run() executes the whole flow to
-//     completion and reports per-stage statistics. Run() is one-shot — a
-//     second invocation returns an error instead of silently re-running
-//     with consumed source state.
-//   * Streaming: Start() launches the stage/sink workers immediately;
-//     sources may then be attached while the flow is live (AttachSource —
-//     this is how the runtime plugs newly opened camera sessions into the
-//     shared edge tier), and Finish() waits for every source to exhaust,
-//     drains the queues, and returns the statistics.
+// Start() launches the stage/sink workers; sources are attached before or
+// while the flow is live (AttachSource — this is how the runtime plugs newly
+// opened camera sessions into the shared edge tier), and Finish() waits for
+// every source to exhaust, drains the queues, and returns the statistics.
 //
 // Worker threads are obtained from an injected runtime::Executor
 // (SpawnWorker), so the engine itself never constructs raw threads.
@@ -79,13 +73,6 @@ class Pipeline {
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
 
-  /// Replace the source set with this single source (legacy single-camera
-  /// shape). Configuration only — call before Start()/Run(); afterwards it
-  /// asserts (debug) / is ignored (release). Use AttachSource on a live flow.
-  void SetSource(std::string name, SourceFn source);
-  /// Add one of several sources; all sources fan into the first stage.
-  /// Same pre-start contract as SetSource.
-  void AddSource(std::string name, SourceFn source);
   /// Add a transform stage with `parallelism` workers. With `ordered` set,
   /// a parallel stage emits items in exactly the order it consumed them
   /// (workers claim a sequence number with their pop and wait their turn to
@@ -96,23 +83,17 @@ class Pipeline {
                 bool ordered = false);
   void SetSink(std::string name, SinkFn sink);
 
-  /// Batch mode: runs the flow to completion (sources exhausted, queues
-  /// drained). Returns per-stage stats in order: sources (in registration
-  /// order), stages..., sink. One-shot: a second call returns an error.
-  Expected<std::vector<StageStats>> Run();
-
-  // --- Streaming mode ------------------------------------------------------
-
   /// Launch stage and sink workers (and any sources registered so far).
   /// After Start(), AttachSource() may add live sources until Finish().
   Status Start();
 
-  /// Attach a source to the running flow and start pumping it immediately.
-  /// Also usable before Start() (equivalent to AddSource).
+  /// Attach a source; all sources fan into the first stage. On a running
+  /// flow it starts pumping immediately; before Start() it waits for it.
   Status AttachSource(std::string name, SourceFn source);
 
   /// Wait for every attached source to exhaust, drain all queues, stop the
-  /// workers, and return the statistics. The caller is responsible for
+  /// workers, and return per-stage statistics in order: sources (in attach
+  /// order), stages..., sink. One-shot. The caller is responsible for
   /// making sources terminate (e.g. closing the session queues they pop).
   Expected<std::vector<StageStats>> Finish();
 

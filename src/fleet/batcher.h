@@ -90,13 +90,6 @@ class InferenceBatcher {
   void Submit(std::uint64_t camera, std::size_t split, nn::Tensor activation,
               nn::Precision precision, DoneFn done);
 
-  /// Back-compat convenience: fp32 submit.
-  void Submit(std::uint64_t camera, std::size_t split, nn::Tensor activation,
-              DoneFn done) {
-    Submit(camera, split, std::move(activation), nn::Precision::kFp32,
-           std::move(done));
-  }
-
   /// Force-flush everything queued, ignoring size/deadline policy. Async:
   /// sets the flush flag and returns; the flusher drains promptly. The
   /// runtime calls this when the WAN goes down, so frames that already

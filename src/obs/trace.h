@@ -14,9 +14,10 @@
 // so a runaway session degrades to "recent history" rather than OOM.
 //
 // TraceContext is the per-frame identity — (track, frame) where track is a
-// hash of the session route ("cam#seq") — carried by dataflow::FlowFile
-// through every stage so one frame's events across N threads join into one
-// causally-linked tree in the Chrome trace export (obs/export.h).
+// hash of the session route ("cam#seq") — stamped once into the frame's
+// dataflow::FlowFile envelope and carried through every stage with it, so
+// one frame's events across N threads join into one causally-linked tree in
+// the Chrome trace export (obs/export.h).
 //
 // Event names must outlive the trace: pass string literals, or intern
 // dynamic strings with InternName() (stage names, camera ids).

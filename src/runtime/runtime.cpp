@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <functional>
 #include <utility>
 
 #include "codec/decoder.h"
@@ -16,17 +15,32 @@ namespace sieve::runtime {
 
 namespace {
 
-// Flow-file "kind" attribute values: what the payload holds downstream of
-// the edge-NN stage. Missing attribute reads as a still (split 0).
-constexpr char kKindStill[] = "still";
-constexpr char kKindActivation[] = "act";
-constexpr char kKindLabel[] = "label";
+using Kind = dataflow::FlowFile::Kind;
 
 // The incarnation sequence minted into a route ("gate-7#12" -> 12).
 std::uint64_t RouteSeq(const std::string& route) {
   const auto pos = route.rfind('#');
   if (pos == std::string::npos) return 0;
   return std::strtoull(route.c_str() + pos + 1, nullptr, 10);
+}
+
+// Insert a labelled frame into its session's database and settle it
+// delivered. `batch_size` is the fleet batch the frame rode in (0: none).
+void Deliver(const dataflow::FlowFile& file, synth::LabelSet labels,
+             std::size_t batch_size) {
+  internal::SessionState& session = *file.session;
+  {
+    obs::TraceSpan insert_span("db/insert", file.trace);
+    if (batch_size > 0) insert_span.Arg("batch_size", batch_size);
+    std::lock_guard<std::mutex> lock(session.mutex);
+    session.db.Insert(std::size_t(file.frame), labels);
+  }
+  if (batch_size > 0) {
+    session.metrics.cloud_batched_frames->Add();
+    session.metrics.cloud_batch_size_sum->Add(batch_size);
+  }
+  session.metrics.labels->Add();
+  session.RecordOutcome(file, internal::FrameOutcome::kDelivered);
 }
 
 }  // namespace
@@ -68,16 +82,15 @@ void SessionState::RecordOutcome(const dataflow::FlowFile& file,
       metrics.stored_edge->Add();
       obs::RecordInstant("frame/stored-edge", file.trace);
       break;
-    case FrameOutcome::kDelivered:
+    case FrameOutcome::kDelivered: {
       metrics.delivered->Add();
-      if (const auto t_push = file.GetU64("t_push_us")) {
-        const double now_us = opened.ElapsedMicros();
-        if (now_us >= double(*t_push)) {
-          metrics.latency_ms->Record((now_us - double(*t_push)) / 1e3);
-        }
+      const double now_us = opened.ElapsedMicros();
+      if (now_us >= double(file.t_push_us)) {
+        metrics.latency_ms->Record((now_us - double(file.t_push_us)) / 1e3);
       }
       obs::RecordInstant("frame/delivered", file.trace);
       break;
+    }
     case FrameOutcome::kDroppedWan:
       metrics.dropped_wan->Add();
       obs::RecordInstant("frame/dropped-wan", file.trace);
@@ -88,8 +101,8 @@ void SessionState::RecordOutcome(const dataflow::FlowFile& file,
       // delivery succeeded; the frame is now known wasted, so move exactly
       // those bytes to the corrupt column. Frames dropped before the WAN
       // never carry the stamp. Keeps goodput = bytes that became labels.
-      if (const auto wan_bytes = file.GetU64("wan_bytes")) {
-        edge_cloud_meter.ReclassifyCorrupt(*wan_bytes);
+      if (file.wan_bytes > 0) {
+        edge_cloud_meter.ReclassifyCorrupt(file.wan_bytes);
       }
       obs::RecordInstant("frame/dropped-corrupt", file.trace);
       break;
@@ -150,14 +163,13 @@ Status SieveSession::PushEncoded(codec::FrameType type,
 Status SieveSession::PushWire(codec::FrameType type, std::uint64_t frame_index,
                               std::span<const std::uint8_t> wire_bytes) {
   internal::SessionState& st = *state_;
-  dataflow::FlowFile file(
-      std::vector<std::uint8_t>(wire_bytes.begin(), wire_bytes.end()));
-  file.SetU64("frame", frame_index);
-  file.SetAttribute("type", type == codec::FrameType::kIntra ? "I" : "P");
-  file.SetAttribute("camera", st.route);
+  dataflow::FlowFile file;
+  file.payload.assign(wire_bytes.begin(), wire_bytes.end());
+  file.kind = type == codec::FrameType::kIntra ? Kind::kIFrame : Kind::kPFrame;
+  file.frame = frame_index;
   // Push-time stamp on this session's stopwatch: the delivered-frame
   // latency ledger measures push -> settle against it.
-  file.SetU64("t_push_us", std::uint64_t(st.opened.ElapsedMicros()));
+  file.t_push_us = std::uint64_t(st.opened.ElapsedMicros());
   // Trace identity: every span/instant this frame triggers downstream —
   // stage transforms, WAN retries, batcher residency, the db insert, its
   // terminal outcome — lands on this (track, frame) pair.
@@ -166,7 +178,7 @@ Status SieveSession::PushWire(codec::FrameType type, std::uint64_t frame_index,
   // from a saturated edge blocks right here, in the camera's own thread.
   // Shutdown cancels the link, which unblocks a camera mid-transfer; the
   // frame never entered the tiers, so it is rejected, not counted dropped.
-  if (Status lan = st.camera_edge.Transfer(file.size()); !lan.ok()) {
+  if (Status lan = st.camera_edge.Transfer(file.payload.size()); !lan.ok()) {
     return lan;
   }
   st.pushed.fetch_add(1, std::memory_order_acq_rel);
@@ -174,7 +186,7 @@ Status SieveSession::PushWire(codec::FrameType type, std::uint64_t frame_index,
     st.pushed.fetch_sub(1, std::memory_order_acq_rel);
     // A Drain() racing this failed push may already be waiting on the
     // transiently inflated count; retaking the lock and notifying ensures
-    // its predicate is re-evaluated (no Settle() will fire for this frame).
+    // its predicate is re-evaluated (no outcome will settle this frame).
     {
       std::lock_guard<std::mutex> lock(st.mutex);
       st.settled_cv.notify_all();
@@ -364,37 +376,29 @@ Runtime::~Runtime() {
   if (need_shutdown) (void)Shutdown();
 }
 
-std::shared_ptr<internal::SessionState> Runtime::FindSession(
-    const dataflow::FlowFile& file) {
-  const auto camera = file.GetAttribute("camera");
-  if (!camera) return nullptr;
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  auto it = routes_.find(*camera);
-  return it != routes_.end() ? it->second : nullptr;
-}
-
 void Runtime::BuildTiers() {
+  // Every stage edits the envelope it received and passes it on; the owning
+  // session rides in it (stamped by the session's source), so no stage ever
+  // looks a session up.
+
   // --- Edge: I-frame seeker (metadata-only filter) ------------------------
   pipeline_.AddStage(
       "edge/iframe-seeker",
-      [this](dataflow::FlowFile file) -> std::optional<dataflow::FlowFile> {
-        auto session = FindSession(file);
-        if (!session) return std::nullopt;  // unroutable: drop
+      [](dataflow::FlowFile file) -> std::optional<dataflow::FlowFile> {
+        internal::SessionState& session = *file.session;
         // Resumed session replaying its backlog: frames at or below the
         // journaled high-water mark are already durable and indexed — ack
         // them here, before any tier spends work on them, instead of
         // re-storing (the recovery contract in docs/durability.md).
-        if (session->resumed &&
-            file.GetU64("frame").value_or(0) <= session->resume_floor) {
-          session->RecordOutcome(file, internal::FrameOutcome::kResumedAck);
+        if (session.resumed && file.frame <= session.resume_floor) {
+          session.RecordOutcome(file, internal::FrameOutcome::kResumedAck);
           return std::nullopt;
         }
-        const auto type = file.GetAttribute("type");
-        if (!type || *type != "I") {  // P-frames: stored edge-side only
-          session->RecordOutcome(file, internal::FrameOutcome::kStoredEdge);
+        if (file.kind != Kind::kIFrame) {  // P-frames: stored edge-side only
+          session.RecordOutcome(file, internal::FrameOutcome::kStoredEdge);
           return std::nullopt;
         }
-        session->metrics.iframes->Add();
+        session.metrics.iframes->Add();
         return file;
       });
 
@@ -404,17 +408,11 @@ void Runtime::BuildTiers() {
   pipeline_.AddStage(
       "edge/still-transcode",
       [this](dataflow::FlowFile file) -> std::optional<dataflow::FlowFile> {
-        auto session = FindSession(file);
-        if (!session) return std::nullopt;
         // Strip the fixed frame header to get the entropy-coded payload;
         // decode with the owning camera's dimensions and quantizer.
-        const codec::ContainerHeader& header = session->header;
-        const std::size_t payload_size =
-            file.size() - codec::FrameRecord::kHeaderSize;
-        const std::span<const std::uint8_t> payload(
-            file.payload().data() + codec::FrameRecord::kHeaderSize,
-            payload_size);
-        codec::RangeDecoder rc(payload);
+        const codec::ContainerHeader& header = file.session->header;
+        codec::RangeDecoder rc(std::span<const std::uint8_t>(file.payload)
+                                   .subspan(codec::FrameRecord::kHeaderSize));
         codec::FrameModels models;
         const codec::CodingContext ctx = codec::CodingContext::ForQp(header.qp);
         media::Frame frame(header.width, header.height);
@@ -427,13 +425,9 @@ void Runtime::BuildTiers() {
         // parallelism here would oversubscribe the shared pool. (Stills are
         // NN-input-sized — a handful of block rows — so the inner win is
         // small anyway.)
-        dataflow::FlowFile out(codec::EncodeStill(resized, config_.still_qp));
-        out.trace = file.trace;
-        out.SetU64("frame", file.GetU64("frame").value_or(0));
-        out.SetU64("t_push_us", file.GetU64("t_push_us").value_or(0));
-        out.SetAttribute("camera", session->route);
-        out.SetAttribute("kind", kKindStill);
-        return out;
+        file.payload = codec::EncodeStill(resized, config_.still_qp);
+        file.kind = Kind::kStill;
+        return file;
       },
       config_.transcode_parallelism, /*ordered=*/true);
 
@@ -446,17 +440,16 @@ void Runtime::BuildTiers() {
   pipeline_.AddStage(
       "edge/nn",
       [this](dataflow::FlowFile file) -> std::optional<dataflow::FlowFile> {
-        auto session = FindSession(file);
-        if (!session) return std::nullopt;
+        internal::SessionState& session = *file.session;
         // Load the live plan once per frame and latch the split into the
-        // flow file: this is the plan-swap barrier. A health-driven replan
+        // envelope: this is the plan-swap barrier. A health-driven replan
         // only affects frames that have not yet passed this stage;
         // in-flight activations finish on the plan they started with.
-        const std::size_t split = session->ActivePlan()->split;
+        const std::size_t split = session.ActivePlan()->split;
         if (split == 0) return file;
-        auto still = codec::DecodeStill(file.payload());
+        auto still = codec::DecodeStill(file.payload);
         if (!still.ok()) {
-          session->RecordOutcome(file, internal::FrameOutcome::kDroppedCorrupt);
+          session.RecordOutcome(file, internal::FrameOutcome::kDroppedCorrupt);
           return std::nullopt;
         }
         const nn::Tensor input = classifier_->InputTensor(*still);
@@ -464,29 +457,25 @@ void Runtime::BuildTiers() {
         // Session-fixed (unlike the split, which replans): the cloud suffix
         // and the fleet batcher read the same field, so both halves of a
         // split forward always run at one precision.
-        const nn::Precision precision = session->precision;
-        dataflow::FlowFile out;
+        const nn::Precision precision = session.precision;
+        file.split = split;
         if (split >= layers) {
           auto labels = classifier_->PredictFromEmbedding(
               classifier_->network().Forward(input, precision).values());
           if (!labels.ok()) {
-            session->RecordOutcome(file,
-                                   internal::FrameOutcome::kDroppedCorrupt);
+            session.RecordOutcome(file,
+                                  internal::FrameOutcome::kDroppedCorrupt);
             return std::nullopt;
           }
-          out.SetAttribute("kind", kKindLabel);
-          out.SetU64("label_bits", labels->bits());
+          file.payload.clear();
+          file.kind = Kind::kLabel;
+          file.label_bits = labels->bits();
         } else {
-          out.payload() = nn::SerializeTensor(
+          file.payload = nn::SerializeTensor(
               classifier_->network().ForwardPrefix(input, split, precision));
-          out.SetAttribute("kind", kKindActivation);
-          out.SetU64("split", split);
+          file.kind = Kind::kActivation;
         }
-        out.trace = file.trace;
-        out.SetU64("frame", file.GetU64("frame").value_or(0));
-        out.SetU64("t_push_us", file.GetU64("t_push_us").value_or(0));
-        out.SetAttribute("camera", session->route);
-        return out;
+        return file;
       },
       config_.edge_nn_parallelism, /*ordered=*/true);
 
@@ -500,140 +489,100 @@ void Runtime::BuildTiers() {
   pipeline_.AddStage(
       "wan",
       [this](dataflow::FlowFile file) -> std::optional<dataflow::FlowFile> {
-        auto session = FindSession(file);
+        internal::SessionState& session = *file.session;
         // The sender's stream position (open offset + frame time) ratchets
         // the virtual link clock: outage windows line up with stream
         // content, not wall time, so chaos runs replay exactly.
-        double hint = 0.0;
-        if (session) {
-          const double fps = session->header.fps > 0 ? session->header.fps : 1;
-          hint = session->open_seconds +
-                 double(file.GetU64("frame").value_or(0)) / fps;
-        }
-        const auto kind = file.GetAttribute("kind");
-        if (kind && *kind == kKindLabel) {
+        const double fps = session.header.fps > 0 ? session.header.fps : 1;
+        const double hint = session.open_seconds + double(file.frame) / fps;
+        if (file.kind == Kind::kLabel) {
           wan_.Probe(hint);
           MaybeReactToWanHealth();
           return file;
         }
         const net::SendOutcome outcome =
-            wan_.Send(std::span<std::uint8_t>(file.payload()), hint,
-                      file.trace);
-        if (session) {
-          if (outcome.attempts > 1) {
-            session->metrics.wan_retries->Add(
-                std::uint64_t(outcome.attempts - 1));
-          }
-          if (outcome.retransmit_bytes > 0) {
-            session->edge_cloud_meter.RecordRetransmit(outcome.retransmit_bytes);
-          }
+            wan_.Send(std::span<std::uint8_t>(file.payload), hint, file.trace);
+        if (outcome.attempts > 1) {
+          session.metrics.wan_retries->Add(
+              std::uint64_t(outcome.attempts - 1));
+        }
+        if (outcome.retransmit_bytes > 0) {
+          session.edge_cloud_meter.RecordRetransmit(outcome.retransmit_bytes);
         }
         if (!outcome.status.ok()) {
-          if (session) {
-            session->edge_cloud_meter.RecordDrop();
-            session->RecordOutcome(
-                file, outcome.status.code() == ErrorCode::kCancelled
-                          ? internal::FrameOutcome::kDroppedShutdown
-                          : internal::FrameOutcome::kDroppedWan);
-          }
+          session.edge_cloud_meter.RecordDrop();
+          session.RecordOutcome(
+              file, outcome.status.code() == ErrorCode::kCancelled
+                        ? internal::FrameOutcome::kDroppedShutdown
+                        : internal::FrameOutcome::kDroppedWan);
           MaybeReactToWanHealth();
           return std::nullopt;
         }
-        if (session) {
-          session->edge_cloud_meter.Record(file.size());
-          // Stamp what this frame just cost on the WAN: if it later fails
-          // decode/validation, RecordOutcome reclassifies exactly these
-          // bytes from goodput to the corrupt column.
-          file.SetU64("wan_bytes", file.size());
-        }
+        session.edge_cloud_meter.Record(file.payload.size());
+        // Stamp what this frame just cost on the WAN: if it later fails
+        // decode/validation, RecordOutcome reclassifies exactly these
+        // bytes from goodput to the corrupt column.
+        file.wan_bytes = file.payload.size();
         MaybeReactToWanHealth();
         return file;
       },
       config_.wan_parallelism, /*ordered=*/true);
 
   // --- Cloud: the widened NN stage. Decodes and validates every payload in
-  // parallel (cloud_nn_parallelism workers, order-kept per camera), then:
+  // parallel (cloud_nn_parallelism workers, order-kept per camera) into the
+  // cut-point activation (a still decodes to the split-0 activation), then:
   //   * batching off — finishes the split right here (suffix layers +
-  //     centroid match), emitting a label file for the sink to record;
-  //   * batching on — normalizes everything to a validated cut-point
-  //     activation (a still decodes to the split-0 activation) and passes
-  //     it through; the serial sink feeds the fleet batcher, which runs one
-  //     batched suffix pass per flush. Bit-exact either way.
+  //     centroid match) and passes the label on for the sink to record;
+  //   * batching on — hands the validated activation to the serial sink,
+  //     which feeds the fleet batcher, which runs one batched suffix pass
+  //     per flush. Bit-exact either way.
   pipeline_.AddStage(
       "cloud/nn",
       [this](dataflow::FlowFile file) -> std::optional<dataflow::FlowFile> {
-        auto session = FindSession(file);
-        if (!session) return std::nullopt;
-        const std::string kind = file.GetAttribute("kind").value_or(kKindStill);
-        if (kind == kKindLabel) return file;  // edge-computed; sink records it
-        const bool batching = batcher_ != nullptr;
-        std::optional<nn::Tensor> activation;
-        std::size_t split = 0;
-        if (kind == kKindActivation) {
-          auto parsed = nn::DeserializeTensor(file.payload());
-          if (!parsed.ok()) {
-            session->RecordOutcome(file,
-                                   internal::FrameOutcome::kDroppedCorrupt);
-            return std::nullopt;
-          }
-          // The split rides the wire as an attribute: verify the
-          // activation's shape really is what layer `split` consumes before
-          // running layers on it (a mismatched pair would index out of
-          // bounds in Release).
-          split = std::size_t(file.GetU64("split").value_or(0));
-          if (split > classifier_->network().LayerCount() ||
+        internal::SessionState& session = *file.session;
+        if (file.kind == Kind::kLabel) return file;  // edge-computed
+        nn::Tensor activation;
+        if (file.kind == Kind::kActivation) {
+          auto parsed = nn::DeserializeTensor(file.payload);
+          // The payload crossed the WAN: verify the activation's shape
+          // really is what layer `split` consumes before running layers on
+          // it (a mismatched pair would index out of bounds in Release).
+          if (!parsed.ok() ||
+              file.split > classifier_->network().LayerCount() ||
               !(parsed->shape() ==
-                classifier_->network().ShapeAtLayer(split))) {
-            session->RecordOutcome(file,
-                                   internal::FrameOutcome::kDroppedCorrupt);
+                classifier_->network().ShapeAtLayer(file.split))) {
+            session.RecordOutcome(file,
+                                  internal::FrameOutcome::kDroppedCorrupt);
             return std::nullopt;
           }
-          if (batching) return file;  // validated; the sink batches it
           activation = std::move(*parsed);
         } else {
-          auto still = codec::DecodeStill(file.payload());
+          auto still = codec::DecodeStill(file.payload);
           if (!still.ok()) {
-            session->RecordOutcome(file,
-                                   internal::FrameOutcome::kDroppedCorrupt);
+            session.RecordOutcome(file,
+                                  internal::FrameOutcome::kDroppedCorrupt);
             return std::nullopt;
           }
           // A still is the split-0 cut point: the whole network runs here.
           activation = classifier_->InputTensor(*still);
-          split = 0;
-          if (batching) {
-            dataflow::FlowFile out;
-            out.payload() = nn::SerializeTensor(*activation);
-            out.trace = file.trace;
-            out.SetAttribute("kind", kKindActivation);
-            out.SetU64("split", 0);
-            out.SetU64("frame", file.GetU64("frame").value_or(0));
-            out.SetU64("t_push_us", file.GetU64("t_push_us").value_or(0));
-            if (const auto wb = file.GetU64("wan_bytes")) {
-              out.SetU64("wan_bytes", *wb);
-            }
-            out.SetAttribute("camera", session->route);
-            return out;
-          }
+        }
+        std::vector<std::uint8_t>().swap(file.payload);  // parsed: release
+        if (batcher_ != nullptr) {
+          file.kind = Kind::kActivation;
+          file.tensor = std::move(activation);
+          return file;
         }
         auto predicted = classifier_->PredictFromEmbedding(
             classifier_->network()
-                .ForwardSuffix(*activation, split, session->precision)
+                .ForwardSuffix(activation, file.split, session.precision)
                 .values());
         if (!predicted.ok()) {
-          session->RecordOutcome(file, internal::FrameOutcome::kDroppedCorrupt);
+          session.RecordOutcome(file, internal::FrameOutcome::kDroppedCorrupt);
           return std::nullopt;
         }
-        dataflow::FlowFile out;
-        out.trace = file.trace;
-        out.SetAttribute("kind", kKindLabel);
-        out.SetU64("label_bits", predicted->bits());
-        out.SetU64("frame", file.GetU64("frame").value_or(0));
-        out.SetU64("t_push_us", file.GetU64("t_push_us").value_or(0));
-        if (const auto wb = file.GetU64("wan_bytes")) {
-          out.SetU64("wan_bytes", *wb);
-        }
-        out.SetAttribute("camera", session->route);
-        return out;
+        file.kind = Kind::kLabel;
+        file.label_bits = predicted->bits();
+        return file;
       },
       config_.cloud_nn_parallelism, /*ordered=*/true);
 
@@ -642,74 +591,38 @@ void Runtime::BuildTiers() {
   // (the ordered stages upstream only order *emissions*, not transform side
   // effects), and the db insert itself is cheap.
   pipeline_.SetSink("cloud/sink", [this](dataflow::FlowFile file) {
-    auto session = FindSession(file);
-    if (!session) return;
-    const std::string kind = file.GetAttribute("kind").value_or(kKindStill);
-    if (kind == kKindActivation && batcher_ != nullptr) {
-      auto activation = nn::DeserializeTensor(file.payload());
-      if (!activation.ok()) {
-        session->RecordOutcome(file, internal::FrameOutcome::kDroppedCorrupt);
-        return;
-      }
-      const std::size_t split = std::size_t(file.GetU64("split").value_or(0));
-      // Fairness key: one stable value per session incarnation.
-      const std::uint64_t camera_key =
-          std::uint64_t(std::hash<std::string>{}(session->route));
-      // Batcher residency is observable per frame: the submit instant here,
-      // the covering "batch/flush" span on the flusher thread, and the
-      // "db/insert" span in the callback bound the time the frame spent
-      // queued versus in the batched pass.
-      obs::RecordInstant("batch/submit", file.trace, "split",
-                         std::uint64_t(split));
-      // Submit blocks while the batcher's window is full — that is this
-      // pipeline's backpressure propagating into the fleet tier. The
-      // callback runs on the flusher thread after the batched pass.
-      batcher_->Submit(
-          camera_key, split, std::move(*activation),
-          session->precision,
-          [session, file = std::move(file)](
-              Expected<synth::LabelSet> label, std::size_t batch_size) mutable {
-            if (!label.ok()) {
-              session->RecordOutcome(file,
-                                     internal::FrameOutcome::kDroppedCorrupt);
-              return;
-            }
-            {
-              obs::TraceSpan insert_span("db/insert", file.trace);
-              insert_span.Arg("batch_size", batch_size);
-              std::lock_guard<std::mutex> lock(session->mutex);
-              session->db.Insert(
-                  std::size_t(file.GetU64("frame").value_or(0)), *label);
-            }
-            session->metrics.cloud_batched_frames->Add();
-            session->metrics.cloud_batch_size_sum->Add(batch_size);
-            session->metrics.labels->Add();
-            session->RecordOutcome(file, internal::FrameOutcome::kDelivered);
-          });
+    if (!file.tensor) {
+      Deliver(file, synth::LabelSet{file.label_bits}, /*batch_size=*/0);
       return;
     }
-    if (kind != kKindLabel) {
-      // Nothing but labels (and, under batching, validated activations)
-      // reaches the sink; anything else is malformed.
-      session->RecordOutcome(file, internal::FrameOutcome::kDroppedCorrupt);
-      return;
-    }
-    // A label file without its bits is malformed: drop it like every other
-    // corrupt payload instead of recording an empty label set.
-    const auto bits = file.GetU64("label_bits");
-    if (!bits) {
-      session->RecordOutcome(file, internal::FrameOutcome::kDroppedCorrupt);
-      return;
-    }
-    const synth::LabelSet labels{std::uint8_t(*bits)};
-    {
-      obs::TraceSpan insert_span("db/insert", file.trace);
-      std::lock_guard<std::mutex> lock(session->mutex);
-      session->db.Insert(std::size_t(file.GetU64("frame").value_or(0)),
-                         labels);
-    }
-    session->metrics.labels->Add();
-    session->RecordOutcome(file, internal::FrameOutcome::kDelivered);
+    // Take everything Submit needs before the envelope moves into the
+    // completion callback.
+    nn::Tensor activation = std::move(*file.tensor);
+    file.tensor.reset();
+    const internal::SessionState& session = *file.session;
+    const std::size_t split = file.split;
+    // Batcher residency is observable per frame: the submit instant here,
+    // the covering "batch/flush" span on the flusher thread, and the
+    // "db/insert" span in the callback bound the time the frame spent
+    // queued versus in the batched pass.
+    obs::RecordInstant("batch/submit", file.trace, "split",
+                       std::uint64_t(split));
+    // Submit blocks while the batcher's window is full — that is this
+    // pipeline's backpressure propagating into the fleet tier. The
+    // callback runs on the flusher thread after the batched pass. The
+    // fairness key is the session's track: one stable value per
+    // incarnation.
+    batcher_->Submit(
+        session.track, split, std::move(activation), session.precision,
+        [file = std::move(file)](Expected<synth::LabelSet> label,
+                                 std::size_t batch_size) {
+          if (!label.ok()) {
+            file.session->RecordOutcome(
+                file, internal::FrameOutcome::kDroppedCorrupt);
+            return;
+          }
+          Deliver(file, *label, batch_size);
+        });
   });
 }
 
@@ -902,8 +815,9 @@ Expected<std::unique_ptr<SieveSession>> Runtime::OpenSession(
     if (shut_down_) {
       return Status::Precondition("OpenSession: runtime already shut down");
     }
-    // A camera id may be reused once its previous incarnation closed; the
-    // unique route key keeps that incarnation's in-flight frames routable.
+    // A camera id may be reused once its previous incarnation closed; its
+    // in-flight frames carry their own session, and the unique route key
+    // keeps the incarnations apart in the query index and the store.
     auto live = by_id_.find(camera_id);
     if (live != by_id_.end() &&
         !live->second->closed.load(std::memory_order_acquire)) {
@@ -952,17 +866,22 @@ Expected<std::unique_ptr<SieveSession>> Runtime::OpenSession(
     state->base_plan = plan;
     state->active_plan.store(std::make_shared<const PlacementPlan>(plan),
                              std::memory_order_release);
-    routes_.emplace(route, state);
+    sessions_.push_back(state);
     by_id_[camera_id] = state;
   }
   if (Status s = pipeline_.AttachSource(
-          camera_id,  // display name in stats; routing uses state->route
+          camera_id,  // display name in stats
           [state]() -> std::optional<dataflow::FlowFile> {
-            return state->camera_queue.Pop();
+            // Stamp the owner as the frame leaves the camera queue, not at
+            // push: a queued envelope holding its own session would be a
+            // reference cycle through camera_queue.
+            std::optional<dataflow::FlowFile> file = state->camera_queue.Pop();
+            if (file) file->session = state;
+            return file;
           });
       !s.ok()) {
     std::unique_lock<std::shared_mutex> lock(mutex_);
-    routes_.erase(state->route);
+    std::erase(sessions_, state);
     if (auto it = by_id_.find(camera_id);
         it != by_id_.end() && it->second == state) {
       by_id_.erase(it);
@@ -1050,8 +969,7 @@ Expected<std::vector<dataflow::StageStats>> Runtime::Shutdown() {
     std::unique_lock<std::shared_mutex> lock(mutex_);
     if (shut_down_) return Status::Precondition("Runtime: already shut down");
     shut_down_ = true;
-    states.reserve(routes_.size());
-    for (auto& [route, state] : routes_) states.push_back(state);
+    states = sessions_;
   }
   // Cancel the links before draining: a transport mid-backoff (or a camera
   // mid-LAN-transfer) wakes immediately, and every frame still in the tiers
@@ -1076,7 +994,7 @@ Expected<std::vector<dataflow::StageStats>> Runtime::Shutdown() {
     const std::size_t total = state->SealTotal();
     // Write-ahead ordering again: the seal is durable before the index
     // reports the stream closed. Recovered-but-never-resumed cameras are
-    // not in routes_, so they stay unsealed on disk and in the index —
+    // not in sessions_, so they stay unsealed on disk and in the index —
     // exactly the state the pre-crash live runtime advertised.
     state->JournalSeal(total);
     query_->Seal(state->route, total);

@@ -26,9 +26,9 @@
 // by the Neurosurgeon-style planner — see runtime/placement.h); sessions
 // with different plans run concurrently on one Runtime. The encoded frames
 // of all sessions fan into one edge chain via the pipeline's multi-source
-// fan-in; per-frame "camera" attributes route edge decode parameters and
-// cloud results back to the owning session. The legacy single-shot
-// core::SieveSystem::Run is a thin wrapper over a one-session Runtime.
+// fan-in; each frame travels as one typed dataflow::FlowFile that carries
+// its owning session, so every stage reads the session's decode parameters
+// and plan, and the cloud tier its database, straight from the envelope.
 #pragma once
 
 #include <atomic>
@@ -80,11 +80,10 @@ struct TraceOptions {
   std::string metrics_path;
 };
 
-/// Shared-tier configuration (what core::SystemConfig configured per run).
+/// Shared-tier configuration.
 struct RuntimeConfig {
   /// Placement applied to sessions that open with PlacementMode::kDefault.
-  /// Must not itself be kDefault (treated as kCloud). The legacy
-  /// core::NnTier knob maps onto this: kCloud -> kCloud, kEdge -> kEdge.
+  /// Must not itself be kDefault (treated as kCloud).
   PlacementMode default_placement = PlacementMode::kCloud;
   net::LinkModel camera_to_edge = net::LinkModel::Lan();
   net::LinkModel edge_to_cloud = net::LinkModel::Wan();
@@ -335,31 +334,24 @@ struct SessionState {
   /// from the constructor so no frame can ever observe an unbound handle.
   void BindMetrics(std::shared_ptr<obs::Registry> reg);
 
-  /// Mark one in-flight frame fully handled (filtered, failed, or labelled).
-  void Settle() {
-    std::lock_guard<std::mutex> lock(mutex);
-    ++settled;
-    settled_cv.notify_all();
-  }
-
   /// Settle one frame AND account for how it ended: outcome counters plus,
-  /// for delivered frames, the push-to-settle latency (the flow file's
-  /// "t_push_us" stamp against this session's stopwatch). Every frame that
+  /// for delivered frames, the push-to-settle latency (the envelope's
+  /// t_push_us stamp against this session's stopwatch). Every frame that
   /// enters the tiers leaves through exactly one RecordOutcome call.
   void RecordOutcome(const dataflow::FlowFile& file, FrameOutcome outcome);
 
   /// The placement the next frame will execute under. In-flight frames are
   /// unaffected by a swap: each frame latches its split when it passes the
-  /// edge-NN stage (the "split" wire attribute), so activations always
-  /// finish on the plan they started with — that is the plan-swap barrier.
+  /// edge-NN stage (FlowFile::split), so activations always finish on the
+  /// plan they started with — that is the plan-swap barrier.
   std::shared_ptr<const PlacementPlan> ActivePlan() const {
     return active_plan.load(std::memory_order_acquire);
   }
 
   const std::string camera_id;
-  const std::string route;  ///< unique per-session routing key (id#seq):
-                            ///< lets a reconnecting camera reuse its id while
-                            ///< in-flight frames still reach the old session
+  const std::string route;  ///< unique per-incarnation key (id#seq): lets a
+                            ///< reconnecting camera reuse its id while the
+                            ///< index and store keep incarnations apart
   /// obs::HashTrack(route): the trace-track identity stamped into every
   /// frame's TraceContext, so per-frame spans group per session.
   const std::uint64_t track;
@@ -520,7 +512,7 @@ class Runtime {
   /// classifier, a runtime that is already shut down, or a camera id that
   /// is still open — a Close()d id may be reused (reconnecting camera), and
   /// in-flight frames of the previous incarnation still reach the old
-  /// session's database via its unique routing key.
+  /// session's database (each frame carries its own session).
   Expected<std::unique_ptr<SieveSession>> OpenSession(std::string camera_id,
                                                       SessionConfig config);
 
@@ -562,8 +554,6 @@ class Runtime {
   void PublishMetrics() const;
 
  private:
-  std::shared_ptr<internal::SessionState> FindSession(
-      const dataflow::FlowFile& file);
   void BuildTiers();
   /// Boot-time recovery (constructor, before any session can open): scan
   /// RuntimeConfig::store.dir, replay every journal into the live query
@@ -623,14 +613,14 @@ class Runtime {
   std::mutex planner_mutex_;
   std::map<nn::Precision, PlannerCacheEntry> planner_cache_;
 
-  // Reader-writer registry: every stage routes every frame through
-  // FindSession (shared lock), while OpenSession/Shutdown mutations are
-  // rare (exclusive lock). `routes_` keeps one entry per session ever
-  // opened (in-flight frames and reports need drained sessions until
-  // shutdown); `by_id_` tracks the latest incarnation of each camera id
-  // for duplicate admission.
+  // Session registry. Frames never consult it (each envelope carries its
+  // session); it serves admission, health sweeps and Shutdown, so reads
+  // (health, metrics) take the shared lock and OpenSession/Shutdown the
+  // exclusive one. `sessions_` keeps every session ever opened, in open
+  // order, for Shutdown's drain and seal; `by_id_` tracks the latest
+  // incarnation of each camera id for duplicate admission.
   mutable std::shared_mutex mutex_;
-  std::map<std::string, std::shared_ptr<internal::SessionState>> routes_;
+  std::vector<std::shared_ptr<internal::SessionState>> sessions_;
   std::map<std::string, std::shared_ptr<internal::SessionState>> by_id_;
   /// Latest unsealed incarnation recovered from the store, per camera id:
   /// what a reconnecting camera resumes (consumed by OpenSession). Guarded

@@ -1,90 +1,18 @@
-#include "core/system.h"
-
+// The single-camera end-to-end path on a one-session Runtime: a
+// pre-encoded feed streams camera -> edge -> cloud, and the session's
+// report, stage stats and database describe the run.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "codec/encoder.h"
+#include "runtime/runtime.h"
 #include "synth/scene.h"
 
-namespace sieve::core {
+namespace sieve::runtime {
 namespace {
-
-TEST(ResultsDatabase, InsertAndPropagate) {
-  ResultsDatabase db;
-  db.Insert(0, synth::LabelSet());
-  db.Insert(100, synth::LabelSet::Of(synth::ObjectClass::kCar));
-  db.Insert(200, synth::LabelSet());
-
-  EXPECT_TRUE(db.LabelAt(0).empty());
-  EXPECT_TRUE(db.LabelAt(50).empty());
-  EXPECT_TRUE(db.LabelAt(100).Contains(synth::ObjectClass::kCar));
-  EXPECT_TRUE(db.LabelAt(150).Contains(synth::ObjectClass::kCar));
-  EXPECT_TRUE(db.LabelAt(200).empty());
-  EXPECT_TRUE(db.LabelAt(9999).empty());
-}
-
-TEST(ResultsDatabase, LabelBeforeFirstRowIsEmpty) {
-  ResultsDatabase db;
-  db.Insert(50, synth::LabelSet::Of(synth::ObjectClass::kBoat));
-  EXPECT_TRUE(db.LabelAt(10).empty());
-}
-
-TEST(ResultsDatabase, FindObjectRanges) {
-  ResultsDatabase db;
-  db.Insert(0, synth::LabelSet());
-  db.Insert(10, synth::LabelSet::Of(synth::ObjectClass::kCar));
-  db.Insert(30, synth::LabelSet());
-  db.Insert(50, synth::LabelSet::Of(synth::ObjectClass::kCar));
-
-  const auto ranges = db.FindObject(synth::ObjectClass::kCar, 100);
-  ASSERT_EQ(ranges.size(), 2u);
-  EXPECT_EQ(ranges[0], (std::pair<std::size_t, std::size_t>{10, 30}));
-  EXPECT_EQ(ranges[1], (std::pair<std::size_t, std::size_t>{50, 100}));
-}
-
-TEST(ResultsDatabase, FindObjectMissingClassIsEmpty) {
-  ResultsDatabase db;
-  db.Insert(0, synth::LabelSet::Of(synth::ObjectClass::kCar));
-  EXPECT_TRUE(db.FindObject(synth::ObjectClass::kBoat, 10).empty());
-}
-
-TEST(ResultsDatabase, EmptyDatabaseQueries) {
-  ResultsDatabase db;
-  EXPECT_EQ(db.size(), 0u);
-  EXPECT_TRUE(db.LabelAt(0).empty());
-  EXPECT_TRUE(db.LabelAt(12345).empty());
-  EXPECT_TRUE(db.FindObject(synth::ObjectClass::kCar, 0).empty());
-  EXPECT_TRUE(db.FindObject(synth::ObjectClass::kCar, 100).empty());
-}
-
-TEST(ResultsDatabase, QueryBeforeFirstAnalyzedFrame) {
-  ResultsDatabase db;
-  db.Insert(40, synth::LabelSet::Of(synth::ObjectClass::kCar));
-  db.Insert(60, synth::LabelSet());
-  // No propagation backwards: frames before the first analyzed frame have
-  // no labels, and the event range starts at the first analyzed frame.
-  EXPECT_TRUE(db.LabelAt(0).empty());
-  EXPECT_TRUE(db.LabelAt(39).empty());
-  EXPECT_TRUE(db.LabelAt(40).Contains(synth::ObjectClass::kCar));
-  const auto ranges = db.FindObject(synth::ObjectClass::kCar, 100);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0], (std::pair<std::size_t, std::size_t>{40, 60}));
-}
-
-TEST(ResultsDatabase, EventRangeTouchingTotalFrames) {
-  ResultsDatabase db;
-  db.Insert(0, synth::LabelSet());
-  db.Insert(80, synth::LabelSet::Of(synth::ObjectClass::kBoat));
-  // Still live at the last analyzed frame: the range closes at total_frames.
-  auto ranges = db.FindObject(synth::ObjectClass::kBoat, 120);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0], (std::pair<std::size_t, std::size_t>{80, 120}));
-  // Event opening exactly at total_frames: no degenerate empty range.
-  EXPECT_TRUE(db.FindObject(synth::ObjectClass::kBoat, 80).empty());
-  // A closing row landing exactly on total_frames reports the range once.
-  db.Insert(120, synth::LabelSet());
-  ranges = db.FindObject(synth::ObjectClass::kBoat, 120);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0], (std::pair<std::size_t, std::size_t>{80, 120}));
-}
 
 class SystemTest : public testing::Test {
  protected:
@@ -117,6 +45,51 @@ class SystemTest : public testing::Test {
     delete encoded_;
   }
 
+  static SessionConfig CameraConfig() {
+    SessionConfig camera;
+    camera.width = encoded_->header.width;
+    camera.height = encoded_->header.height;
+    camera.fps = encoded_->header.fps;
+    camera.encoder.qp = encoded_->header.qp;  // edge decode context
+    return camera;
+  }
+
+  struct Run {
+    std::unique_ptr<SieveSession> session;  ///< drained; db() stays valid
+    SessionReport report;
+    std::vector<dataflow::StageStats> stages;
+  };
+
+  /// Stream the encoded feed through a one-camera Runtime whose classifier
+  /// runs where `placement` says.
+  static Run StreamFeed(PlacementMode placement) {
+    RuntimeConfig config;
+    config.default_placement = placement;
+    config.nn_input_size = 48;
+    Runtime runtime(config, classifier_);
+    auto session = runtime.OpenSession("camera", CameraConfig());
+    EXPECT_TRUE(session.ok());
+    Run run;
+    if (!session.ok()) return run;
+    const std::span<const std::uint8_t> bytes(encoded_->bytes);
+    for (const codec::FrameRecord& record : encoded_->records) {
+      EXPECT_TRUE((*session)
+                      ->PushEncoded(
+                          record.type, record.index,
+                          bytes.subspan(record.payload_offset -
+                                            codec::FrameRecord::kHeaderSize,
+                                        codec::FrameRecord::kHeaderSize +
+                                            record.payload_size))
+                      .ok());
+    }
+    run.report = (*session)->Drain();
+    auto stages = runtime.Shutdown();
+    EXPECT_TRUE(stages.ok());
+    if (stages.ok()) run.stages = std::move(*stages);
+    run.session = std::move(*session);
+    return run;
+  }
+
   static synth::SyntheticVideo* scene_;
   static nn::FrameClassifier* classifier_;
   static codec::EncodedVideo* encoded_;
@@ -128,61 +101,45 @@ codec::EncodedVideo* SystemTest::encoded_ = nullptr;
 
 TEST_F(SystemTest, RequiresFittedClassifier) {
   nn::FrameClassifier unfitted;
-  SieveSystem system(SystemConfig{}, &unfitted);
-  ResultsDatabase db;
-  EXPECT_FALSE(system.Run(*encoded_, db).ok());
+  Runtime runtime(RuntimeConfig{}, &unfitted);
+  EXPECT_FALSE(runtime.OpenSession("camera", CameraConfig()).ok());
 }
 
 TEST_F(SystemTest, CloudRunProcessesOnlyIFrames) {
-  SystemConfig config;
-  config.nn_input_size = 48;
-  SieveSystem system(config, classifier_);
-  ResultsDatabase db;
-  auto report = system.Run(*encoded_, db);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->frames_streamed, encoded_->records.size());
-  EXPECT_EQ(report->iframes_selected, encoded_->IntraFrameCount());
-  EXPECT_EQ(report->labels_written, report->iframes_selected);
-  EXPECT_EQ(db.size(), report->iframes_selected);
+  const Run run = StreamFeed(PlacementMode::kCloud);
+  ASSERT_NE(run.session, nullptr);
+  EXPECT_EQ(run.report.frames_pushed, encoded_->records.size());
+  EXPECT_EQ(run.report.iframes_selected, encoded_->IntraFrameCount());
+  EXPECT_EQ(run.report.labels_written, run.report.iframes_selected);
+  EXPECT_EQ(run.session->db().size(), run.report.iframes_selected);
 }
 
 TEST_F(SystemTest, BytesAccountedOnBothHops) {
-  SystemConfig config;
-  config.nn_input_size = 48;
-  SieveSystem system(config, classifier_);
-  ResultsDatabase db;
-  auto report = system.Run(*encoded_, db);
-  ASSERT_TRUE(report.ok());
+  const Run run = StreamFeed(PlacementMode::kCloud);
+  ASSERT_NE(run.session, nullptr);
   // Camera->edge carries every frame (payload + header bytes).
   std::size_t expected_c2e = 0;
   for (const auto& r : encoded_->records) {
     expected_c2e += r.payload_size + codec::FrameRecord::kHeaderSize;
   }
-  EXPECT_EQ(report->camera_to_edge_bytes, expected_c2e);
+  EXPECT_EQ(run.report.camera_to_edge_bytes, expected_c2e);
   // Edge->cloud only carries resized stills of I-frames: far smaller.
-  EXPECT_GT(report->edge_to_cloud_bytes, 0u);
-  EXPECT_LT(report->edge_to_cloud_bytes, report->camera_to_edge_bytes / 3);
+  EXPECT_GT(run.report.edge_to_cloud_bytes, 0u);
+  EXPECT_LT(run.report.edge_to_cloud_bytes,
+            run.report.camera_to_edge_bytes / 3);
 }
 
 TEST_F(SystemTest, EdgeNnSendsNothingToCloud) {
-  SystemConfig config;
-  config.nn_tier = NnTier::kEdge;
-  config.nn_input_size = 48;
-  SieveSystem system(config, classifier_);
-  ResultsDatabase db;
-  auto report = system.Run(*encoded_, db);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->edge_to_cloud_bytes, 0u);
-  EXPECT_EQ(report->labels_written, encoded_->IntraFrameCount());
+  const Run run = StreamFeed(PlacementMode::kEdge);
+  ASSERT_NE(run.session, nullptr);
+  EXPECT_EQ(run.report.edge_to_cloud_bytes, 0u);
+  EXPECT_EQ(run.report.labels_written, encoded_->IntraFrameCount());
 }
 
 TEST_F(SystemTest, PropagatedLabelsAreMostlyCorrect) {
-  SystemConfig config;
-  config.nn_input_size = 48;
-  SieveSystem system(config, classifier_);
-  ResultsDatabase db;
-  ASSERT_TRUE(system.Run(*encoded_, db).ok());
-
+  const Run run = StreamFeed(PlacementMode::kCloud);
+  ASSERT_NE(run.session, nullptr);
+  const core::ResultsDatabase& db = run.session->db();
   std::size_t correct = 0;
   for (std::size_t f = 0; f < scene_->truth.frame_count(); ++f) {
     if (db.LabelAt(f) == scene_->truth.label(f)) ++correct;
@@ -193,18 +150,13 @@ TEST_F(SystemTest, PropagatedLabelsAreMostlyCorrect) {
 }
 
 TEST_F(SystemTest, StageStatsCoverPipeline) {
-  SystemConfig config;
-  config.nn_input_size = 48;
-  SieveSystem system(config, classifier_);
-  ResultsDatabase db;
-  auto report = system.Run(*encoded_, db);
-  ASSERT_TRUE(report.ok());
+  const Run run = StreamFeed(PlacementMode::kCloud);
   // camera, seeker, transcode, edge-nn, wan, cloud-nn, cloud-sink
-  ASSERT_EQ(report->stages.size(), 7u);
-  EXPECT_EQ(report->stages[0].out, encoded_->records.size());
-  EXPECT_EQ(report->stages[1].in, encoded_->records.size());
-  EXPECT_EQ(report->stages[1].out, encoded_->IntraFrameCount());
+  ASSERT_EQ(run.stages.size(), 7u);
+  EXPECT_EQ(run.stages[0].out, encoded_->records.size());
+  EXPECT_EQ(run.stages[1].in, encoded_->records.size());
+  EXPECT_EQ(run.stages[1].out, encoded_->IntraFrameCount());
 }
 
 }  // namespace
-}  // namespace sieve::core
+}  // namespace sieve::runtime

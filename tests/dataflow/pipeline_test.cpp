@@ -8,7 +8,9 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace sieve::dataflow {
@@ -16,51 +18,47 @@ namespace {
 
 FlowFile NumberedFile(std::uint64_t n) {
   FlowFile f;
-  f.SetU64("n", n);
+  f.frame = n;
   return f;
 }
 
-TEST(FlowFile, AttributeRoundTrip) {
-  FlowFile f;
-  f.SetAttribute("key", "value");
-  EXPECT_EQ(f.GetAttribute("key").value(), "value");
-  EXPECT_FALSE(f.GetAttribute("missing").has_value());
+/// Attach a source before Start(); it starts pumping once the flow does.
+void Attach(Pipeline& p, std::string name, SourceFn source) {
+  ASSERT_TRUE(p.AttachSource(std::move(name), std::move(source)).ok());
 }
 
-TEST(FlowFile, U64Attributes) {
-  FlowFile f;
-  f.SetU64("frame", 123456789012345ull);
-  EXPECT_EQ(f.GetU64("frame").value(), 123456789012345ull);
-  f.SetAttribute("bad", "not-a-number");
-  EXPECT_FALSE(f.GetU64("bad").has_value());
+/// Start the flow and run it until every attached source is exhausted.
+Expected<std::vector<StageStats>> RunToCompletion(Pipeline& p) {
+  if (Status s = p.Start(); !s.ok()) return s;
+  return p.Finish();
 }
 
-TEST(Pipeline, RunWithoutSourceFails) {
+TEST(Pipeline, FinishBeforeStartFails) {
   Pipeline p;
   p.SetSink("sink", [](FlowFile) {});
-  EXPECT_FALSE(p.Run().ok());
+  EXPECT_FALSE(p.Finish().ok());
 }
 
-TEST(Pipeline, RunWithoutSinkFails) {
+TEST(Pipeline, StartWithoutSinkFails) {
   Pipeline p;
   std::size_t n = 0;
-  p.SetSource("src", [&n]() -> std::optional<FlowFile> {
+  Attach(p, "src", [&n]() -> std::optional<FlowFile> {
     if (n++ < 3) return FlowFile{};
     return std::nullopt;
   });
-  EXPECT_FALSE(p.Run().ok());
+  EXPECT_FALSE(p.Start().ok());
 }
 
 TEST(Pipeline, SourceToSinkDeliversEverything) {
   Pipeline p;
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  Attach(p, "src", [&produced]() -> std::optional<FlowFile> {
     if (produced < 100) return NumberedFile(produced++);
     return std::nullopt;
   });
   std::atomic<std::size_t> received{0};
   p.SetSink("sink", [&received](FlowFile) { received.fetch_add(1); });
-  auto stats = p.Run();
+  auto stats = RunToCompletion(p);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(received.load(), 100u);
   EXPECT_EQ(stats->front().out, 100u);
@@ -70,25 +68,25 @@ TEST(Pipeline, SourceToSinkDeliversEverything) {
 TEST(Pipeline, StagesTransformInOrder) {
   Pipeline p;
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  Attach(p, "src", [&produced]() -> std::optional<FlowFile> {
     if (produced < 10) return NumberedFile(produced++);
     return std::nullopt;
   });
   p.AddStage("double", [](FlowFile f) -> std::optional<FlowFile> {
-    f.SetU64("n", *f.GetU64("n") * 2);
+    f.frame *= 2;
     return f;
   });
   p.AddStage("plus-one", [](FlowFile f) -> std::optional<FlowFile> {
-    f.SetU64("n", *f.GetU64("n") + 1);
+    f.frame += 1;
     return f;
   });
   std::mutex m;
   std::set<std::uint64_t> values;
   p.SetSink("sink", [&](FlowFile f) {
     std::lock_guard<std::mutex> lock(m);
-    values.insert(*f.GetU64("n"));
+    values.insert(f.frame);
   });
-  ASSERT_TRUE(p.Run().ok());
+  ASSERT_TRUE(RunToCompletion(p).ok());
   ASSERT_EQ(values.size(), 10u);
   for (std::uint64_t n = 0; n < 10; ++n) {
     EXPECT_TRUE(values.contains(n * 2 + 1));
@@ -98,17 +96,17 @@ TEST(Pipeline, StagesTransformInOrder) {
 TEST(Pipeline, FilterStageDropsItems) {
   Pipeline p;
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  Attach(p, "src", [&produced]() -> std::optional<FlowFile> {
     if (produced < 50) return NumberedFile(produced++);
     return std::nullopt;
   });
   p.AddStage("evens-only", [](FlowFile f) -> std::optional<FlowFile> {
-    if (*f.GetU64("n") % 2 != 0) return std::nullopt;
+    if (f.frame % 2 != 0) return std::nullopt;
     return f;
   });
   std::atomic<std::size_t> received{0};
   p.SetSink("sink", [&received](FlowFile) { received.fetch_add(1); });
-  auto stats = p.Run();
+  auto stats = RunToCompletion(p);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(received.load(), 25u);
   EXPECT_EQ((*stats)[1].in, 50u);
@@ -118,7 +116,7 @@ TEST(Pipeline, FilterStageDropsItems) {
 TEST(Pipeline, ParallelStageProcessesEverythingOnce) {
   Pipeline p(4);
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  Attach(p, "src", [&produced]() -> std::optional<FlowFile> {
     if (produced < 200) return NumberedFile(produced++);
     return std::nullopt;
   });
@@ -129,9 +127,9 @@ TEST(Pipeline, ParallelStageProcessesEverythingOnce) {
   std::multiset<std::uint64_t> seen;
   p.SetSink("sink", [&](FlowFile f) {
     std::lock_guard<std::mutex> lock(m);
-    seen.insert(*f.GetU64("n"));
+    seen.insert(f.frame);
   });
-  ASSERT_TRUE(p.Run().ok());
+  ASSERT_TRUE(RunToCompletion(p).ok());
   EXPECT_EQ(seen.size(), 200u);
   for (std::uint64_t n = 0; n < 200; ++n) EXPECT_EQ(seen.count(n), 1u);
 }
@@ -139,7 +137,7 @@ TEST(Pipeline, ParallelStageProcessesEverythingOnce) {
 TEST(Pipeline, BackpressureLimitsQueueDepth) {
   Pipeline p(2);  // tiny connections
   std::size_t produced = 0;
-  p.SetSource("fast-src", [&produced]() -> std::optional<FlowFile> {
+  Attach(p, "fast-src", [&produced]() -> std::optional<FlowFile> {
     if (produced < 100) return NumberedFile(produced++);
     return std::nullopt;
   });
@@ -149,7 +147,7 @@ TEST(Pipeline, BackpressureLimitsQueueDepth) {
   });
   std::atomic<std::size_t> received{0};
   p.SetSink("sink", [&received](FlowFile) { received.fetch_add(1); });
-  auto stats = p.Run();
+  auto stats = RunToCompletion(p);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(received.load(), 100u);
   for (const auto& s : *stats) {
@@ -160,13 +158,13 @@ TEST(Pipeline, BackpressureLimitsQueueDepth) {
 TEST(Pipeline, StatsNamesInOrder) {
   Pipeline p;
   std::size_t produced = 0;
-  p.SetSource("camera", [&produced]() -> std::optional<FlowFile> {
+  Attach(p, "camera", [&produced]() -> std::optional<FlowFile> {
     if (produced < 1) return NumberedFile(produced++);
     return std::nullopt;
   });
   p.AddStage("edge", [](FlowFile f) -> std::optional<FlowFile> { return f; });
   p.SetSink("cloud", [](FlowFile) {});
-  auto stats = p.Run();
+  auto stats = RunToCompletion(p);
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(stats->size(), 3u);
   EXPECT_EQ((*stats)[0].name, "camera");
@@ -176,31 +174,11 @@ TEST(Pipeline, StatsNamesInOrder) {
 
 TEST(Pipeline, EmptySourceCompletesCleanly) {
   Pipeline p;
-  p.SetSource("empty", []() -> std::optional<FlowFile> { return std::nullopt; });
+  Attach(p, "empty", []() -> std::optional<FlowFile> { return std::nullopt; });
   p.SetSink("sink", [](FlowFile) { FAIL() << "nothing should arrive"; });
-  auto stats = p.Run();
+  auto stats = RunToCompletion(p);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->back().in, 0u);
-}
-
-TEST(Pipeline, SecondRunFails) {
-  // The first run consumes the source and stat state; a silent rerun would
-  // report an empty flow as success. It must be an error instead.
-  Pipeline p;
-  std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
-    if (produced < 5) return NumberedFile(produced++);
-    return std::nullopt;
-  });
-  std::atomic<std::size_t> received{0};
-  p.SetSink("sink", [&received](FlowFile) { received.fetch_add(1); });
-  ASSERT_TRUE(p.Run().ok());
-  EXPECT_EQ(received.load(), 5u);
-
-  auto rerun = p.Run();
-  ASSERT_FALSE(rerun.ok());
-  EXPECT_EQ(rerun.status().code(), ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(received.load(), 5u) << "second Run must not process anything";
 }
 
 TEST(Pipeline, MultiSourceFanInMergesEverything) {
@@ -208,22 +186,22 @@ TEST(Pipeline, MultiSourceFanInMergesEverything) {
   // Three cameras with distinct id ranges fan into one chain.
   std::array<std::size_t, 3> produced{0, 0, 0};
   for (std::size_t cam = 0; cam < 3; ++cam) {
-    p.AddSource("camera-" + std::to_string(cam),
-                [cam, &produced]() -> std::optional<FlowFile> {
-                  if (produced[cam] < 40) {
-                    return NumberedFile(cam * 1000 + produced[cam]++);
-                  }
-                  return std::nullopt;
-                });
+    Attach(p, "camera-" + std::to_string(cam),
+           [cam, &produced]() -> std::optional<FlowFile> {
+             if (produced[cam] < 40) {
+               return NumberedFile(cam * 1000 + produced[cam]++);
+             }
+             return std::nullopt;
+           });
   }
   p.AddStage("tag", [](FlowFile f) -> std::optional<FlowFile> { return f; });
   std::mutex m;
   std::set<std::uint64_t> seen;
   p.SetSink("sink", [&](FlowFile f) {
     std::lock_guard<std::mutex> lock(m);
-    seen.insert(*f.GetU64("n"));
+    seen.insert(f.frame);
   });
-  auto stats = p.Run();
+  auto stats = RunToCompletion(p);
   ASSERT_TRUE(stats.ok());
   // Stats: 3 sources, the stage, the sink — in that order.
   ASSERT_EQ(stats->size(), 5u);
@@ -275,14 +253,14 @@ TEST(Pipeline, OrderedParallelStagePreservesInputOrder) {
   constexpr std::size_t kItems = 200;
   Pipeline p(/*queue_capacity=*/8);
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  Attach(p, "src", [&produced]() -> std::optional<FlowFile> {
     if (produced < kItems) return NumberedFile(produced++);
     return std::nullopt;
   });
   p.AddStage(
       "jitter",
       [](FlowFile f) -> std::optional<FlowFile> {
-        const std::uint64_t n = f.GetU64("n").value_or(0);
+        const std::uint64_t n = f.frame;
         std::this_thread::sleep_for(std::chrono::microseconds((3 - n % 4) * 400));
         return f;
       },
@@ -291,9 +269,9 @@ TEST(Pipeline, OrderedParallelStagePreservesInputOrder) {
   std::mutex order_mutex;
   p.SetSink("sink", [&](FlowFile f) {
     std::lock_guard<std::mutex> lock(order_mutex);
-    order.push_back(f.GetU64("n").value_or(0));
+    order.push_back(f.frame);
   });
-  auto stats = p.Run();
+  auto stats = RunToCompletion(p);
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(order.size(), kItems);
   for (std::size_t i = 0; i < kItems; ++i) {
@@ -305,14 +283,14 @@ TEST(Pipeline, OrderedStageStillFilters) {
   constexpr std::size_t kItems = 120;
   Pipeline p(/*queue_capacity=*/4);
   std::size_t produced = 0;
-  p.SetSource("src", [&produced]() -> std::optional<FlowFile> {
+  Attach(p, "src", [&produced]() -> std::optional<FlowFile> {
     if (produced < kItems) return NumberedFile(produced++);
     return std::nullopt;
   });
   p.AddStage(
       "drop-odd",
       [](FlowFile f) -> std::optional<FlowFile> {
-        const std::uint64_t n = f.GetU64("n").value_or(0);
+        const std::uint64_t n = f.frame;
         std::this_thread::sleep_for(std::chrono::microseconds((n % 3) * 300));
         if (n % 2 == 1) return std::nullopt;  // dropped items advance the gate
         return f;
@@ -322,9 +300,9 @@ TEST(Pipeline, OrderedStageStillFilters) {
   std::mutex order_mutex;
   p.SetSink("sink", [&](FlowFile f) {
     std::lock_guard<std::mutex> lock(order_mutex);
-    order.push_back(f.GetU64("n").value_or(0));
+    order.push_back(f.frame);
   });
-  auto stats = p.Run();
+  auto stats = RunToCompletion(p);
   ASSERT_TRUE(stats.ok());
   ASSERT_EQ(order.size(), kItems / 2);
   for (std::size_t i = 0; i < order.size(); ++i) {

@@ -97,7 +97,8 @@ TEST(InferenceBatcher, SizeFlushBatchesAndPredictionsBitExact) {
           net.ForwardSuffix(act, split).values());
       ASSERT_TRUE(single.ok());
       expected_bits.push_back(single->bits());
-      batcher.Submit(i % 2, split, std::move(act), collector.Callback(i % 2, i));
+      batcher.Submit(i % 2, split, std::move(act), nn::Precision::kFp32,
+                     collector.Callback(i % 2, i));
     }
     batcher.Drain();
     const BatcherStats stats = batcher.stats();
@@ -130,7 +131,7 @@ TEST(InferenceBatcher, DeadlineFlushesPartialBatch) {
   Collector collector;
   for (std::size_t i = 0; i < 3; ++i) {
     batcher.Submit(7, 0, DeterministicInput(net.input_shape(), i),
-                   collector.Callback(7, i));
+                   nn::Precision::kFp32, collector.Callback(7, i));
   }
   ASSERT_TRUE(collector.WaitFor(3, std::chrono::seconds(10)))
       << "deadline flush never fired";
@@ -152,7 +153,7 @@ TEST(InferenceBatcher, FlushAllDrainsPendingWithoutPolicyTrigger) {
   Collector collector;
   for (std::size_t i = 0; i < 5; ++i) {
     batcher.Submit(3, 0, DeterministicInput(net.input_shape(), i),
-                   collector.Callback(3, i));
+                   nn::Precision::kFp32, collector.Callback(3, i));
   }
   batcher.FlushAll();  // async: the kDown path
   ASSERT_TRUE(collector.WaitFor(5, std::chrono::seconds(10)));
@@ -172,6 +173,7 @@ TEST(InferenceBatcher, RejectsShapeMismatchImmediately) {
   // Split 1's expected shape differs from the input shape — reject.
   batcher.Submit(1, 1,
                  DeterministicInput(classifier.network().input_shape(), 0),
+                 nn::Precision::kFp32,
                  [&](Expected<synth::LabelSet> label, std::size_t batch_size) {
                    called = true;
                    EXPECT_FALSE(label.ok());
@@ -205,7 +207,7 @@ TEST(InferenceBatcher, PerCameraCallbackOrderSurvivesConcurrentSubmitters) {
           batcher.Submit(cam, split,
                          DeterministicInput(net.ShapeAtLayer(split),
                                             cam * 100 + seq),
-                         collector.Callback(cam, seq));
+                         nn::Precision::kFp32, collector.Callback(cam, seq));
         }
       });
     }
@@ -280,6 +282,7 @@ TEST(InferenceBatcher, DestructorDrainsOutstandingWork) {
     InferenceBatcher batcher(classifier, executor, policy);
     for (std::size_t i = 0; i < 3; ++i) {
       batcher.Submit(1, 0, DeterministicInput(net.input_shape(), i),
+                     nn::Precision::kFp32,
                      [&](Expected<synth::LabelSet> label, std::size_t) {
                        EXPECT_TRUE(label.ok());
                        ++completions;

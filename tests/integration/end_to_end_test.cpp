@@ -2,13 +2,15 @@
 // seeking -> classification -> results, plus cross-detector comparisons.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "codec/decoder.h"
 #include "codec/encoder.h"
 #include "core/detectors.h"
 #include "core/metrics.h"
 #include "core/seeker.h"
-#include "core/system.h"
 #include "core/tuner.h"
+#include "runtime/runtime.h"
 #include "synth/datasets.h"
 #include "vision/similarity.h"
 
@@ -117,16 +119,35 @@ TEST(EndToEnd, FullThreeTierPipelineOnTunedStream) {
   nn::FrameClassifier classifier(cp);
   ASSERT_TRUE(classifier.Fit(feed.train.video.frames, feed.train.truth, 4).ok());
 
-  core::SystemConfig config;
+  // Stream the encoded feed through a one-camera runtime (NN at the cloud).
+  runtime::RuntimeConfig config;
   config.nn_input_size = 48;
-  core::SieveSystem system(config, &classifier);
-  core::ResultsDatabase db;
-  auto report = system.Run(*encoded, db);
-  ASSERT_TRUE(report.ok());
+  runtime::Runtime runtime(config, &classifier);
+  runtime::SessionConfig camera;
+  camera.width = encoded->header.width;
+  camera.height = encoded->header.height;
+  camera.fps = encoded->header.fps;
+  camera.encoder.qp = encoded->header.qp;  // edge decode context
+  auto session = runtime.OpenSession("camera-1", camera);
+  ASSERT_TRUE(session.ok());
+  const std::span<const std::uint8_t> bytes(encoded->bytes);
+  for (const codec::FrameRecord& record : encoded->records) {
+    ASSERT_TRUE((*session)
+                    ->PushEncoded(
+                        record.type, record.index,
+                        bytes.subspan(record.payload_offset -
+                                          codec::FrameRecord::kHeaderSize,
+                                      codec::FrameRecord::kHeaderSize +
+                                          record.payload_size))
+                    .ok());
+  }
+  const runtime::SessionReport report = (*session)->Drain();
+  ASSERT_TRUE(runtime.Shutdown().ok());
+  const core::ResultsDatabase& db = (*session)->db();
 
   // The pipeline processed only the I-frames...
-  EXPECT_EQ(report->iframes_selected, encoded->IntraFrameCount());
-  EXPECT_LT(report->iframes_selected, report->frames_streamed / 4);
+  EXPECT_EQ(report.iframes_selected, encoded->IntraFrameCount());
+  EXPECT_LT(report.iframes_selected, report.frames_pushed / 4);
 
   // ...and the queryable database labels most frames correctly.
   std::size_t correct = 0;

@@ -1,15 +1,16 @@
 // The Figure-1 fleet contract: N live cameras streaming concurrently
 // through ONE shared Runtime (one executor, one edge chain, one classifier)
 // must produce, per camera, exactly the results that camera would get from
-// its own isolated single-stream SieveSystem::Run. Sharing the tiers is a
-// deployment choice, never a semantic one.
+// its own isolated one-session Runtime. Sharing the tiers is a deployment
+// choice, never a semantic one.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "codec/encoder.h"
-#include "core/system.h"
 #include "runtime/runtime.h"
 #include "synth/scene.h"
 
@@ -51,21 +52,41 @@ TEST(MultiCameraRuntime, SharedRuntimeMatchesIsolatedSystems) {
   nn::FrameClassifier classifier(cp);
   ASSERT_TRUE(classifier.Fit(scenes[0].video.frames, scenes[0].truth, 5).ok());
 
-  // --- Reference: three isolated single-stream batch runs -----------------
-  std::vector<core::ResultsDatabase> isolated(kCameras);
+  // --- Reference: three isolated one-session runtimes, each replaying its
+  // camera's batch-encoded feed ---------------------------------------------
+  std::vector<std::map<std::size_t, synth::LabelSet>> isolated(kCameras);
   std::vector<std::size_t> isolated_iframes(kCameras);
   std::vector<std::uint64_t> isolated_c2e(kCameras);
   for (int cam = 0; cam < kCameras; ++cam) {
     auto encoded = codec::VideoEncoder(CameraParams()).Encode(scenes[cam].video);
     ASSERT_TRUE(encoded.ok());
-    core::SystemConfig config;
+    runtime::RuntimeConfig config;
     config.nn_input_size = 48;
-    core::SieveSystem system(config, &classifier);
-    auto report = system.Run(*encoded, isolated[cam]);
-    ASSERT_TRUE(report.ok());
-    isolated_iframes[std::size_t(cam)] = report->iframes_selected;
-    isolated_c2e[std::size_t(cam)] = report->camera_to_edge_bytes;
-    ASSERT_GT(report->labels_written, 0u);
+    runtime::Runtime alone(config, &classifier);
+    runtime::SessionConfig sc;
+    sc.width = encoded->header.width;
+    sc.height = encoded->header.height;
+    sc.fps = encoded->header.fps;
+    sc.encoder.qp = encoded->header.qp;  // edge decode context
+    auto session = alone.OpenSession("camera-" + std::to_string(cam), sc);
+    ASSERT_TRUE(session.ok());
+    const std::span<const std::uint8_t> bytes(encoded->bytes);
+    for (const codec::FrameRecord& record : encoded->records) {
+      ASSERT_TRUE((*session)
+                      ->PushEncoded(
+                          record.type, record.index,
+                          bytes.subspan(record.payload_offset -
+                                            codec::FrameRecord::kHeaderSize,
+                                        codec::FrameRecord::kHeaderSize +
+                                            record.payload_size))
+                      .ok());
+    }
+    const runtime::SessionReport report = (*session)->Drain();
+    ASSERT_TRUE(alone.Shutdown().ok());
+    isolated[std::size_t(cam)] = (*session)->db().rows();
+    isolated_iframes[std::size_t(cam)] = report.iframes_selected;
+    isolated_c2e[std::size_t(cam)] = report.camera_to_edge_bytes;
+    ASSERT_GT(report.labels_written, 0u);
   }
 
   // --- One shared runtime, three concurrent live sessions -----------------
@@ -98,13 +119,13 @@ TEST(MultiCameraRuntime, SharedRuntimeMatchesIsolatedSystems) {
     EXPECT_EQ(report.frames_pushed, kFrames);
     // The live session's encoder (shared executor) makes the same keyframe
     // decisions, streams the same bytes, and the shared tiers label them
-    // identically to the isolated batch run.
+    // identically to the isolated run.
     EXPECT_EQ(report.iframes_selected, isolated_iframes[std::size_t(cam)])
         << "camera " << cam;
     EXPECT_EQ(report.camera_to_edge_bytes, isolated_c2e[std::size_t(cam)])
         << "camera " << cam;
     EXPECT_EQ(sessions[std::size_t(cam)]->db().rows(),
-              isolated[std::size_t(cam)].rows())
+              isolated[std::size_t(cam)])
         << "camera " << cam << ": per-camera results must not change when "
         << "the tiers are shared";
   }

@@ -289,5 +289,86 @@ TEST(WanChaos, ShutdownMidOutageReturnsPromptly) {
   EXPECT_GE(report.dropped_shutdown + report.dropped_wan, 1u);
 }
 
+/// One isolated corrupt-WAN run: a single session on its own Runtime, so
+/// the fault injector's draw sequence depends only on this session's sends.
+struct CorruptRun {
+  SessionReport report;
+  std::map<std::size_t, synth::LabelSet> rows;
+};
+
+CorruptRun RunCorruptWan(const nn::FrameClassifier& classifier,
+                         const codec::EncodedVideo& encoded, std::size_t split,
+                         std::size_t batch_max) {
+  RuntimeConfig config;
+  config.nn_input_size = 32;
+  config.adaptive_placement = false;  // the plan must not move mid-run
+  config.wan_parallelism = 1;
+  config.cloud_batch_max = batch_max;
+  // A seed under which some corrupt frames fail decoding at both splits.
+  config.wan_faults.seed = 6;
+  config.wan_faults.corrupt_probability = 0.6;
+  Runtime runtime(config, &classifier);
+  SessionConfig sc;
+  sc.width = 64;
+  sc.height = 48;
+  sc.fps = kFps;
+  sc.encoder = codec::EncoderParams::Semantic(4, 120);
+  sc.placement = PlacementMode::kFixed;
+  sc.fixed_split = split;
+  auto session = runtime.OpenSession("cam-corrupt", sc);
+  EXPECT_TRUE(session.ok());
+  CorruptRun run;
+  if (!session.ok()) return run;
+  const std::span<const std::uint8_t> bytes(encoded.bytes);
+  for (const codec::FrameRecord& record : encoded.records) {
+    EXPECT_TRUE(PushRecord(**session, bytes, record).ok());
+  }
+  run.report = (*session)->Drain();
+  run.rows = (*session)->db().rows();
+  EXPECT_TRUE(runtime.Shutdown().ok());
+  return run;
+}
+
+TEST(WanChaos, CorruptDeliveriesDropAndReclassifyIdenticallyWhenBatched) {
+  // Corrupted WAN deliveries must settle as dropped_corrupt with their bytes
+  // moved out of goodput, on both the per-frame and the batched cloud path
+  // — and the two paths must agree frame for frame.
+  const synth::SyntheticVideo scene = ChaosScene();
+  nn::ClassifierParams cp;
+  cp.input_size = 32;
+  cp.embedding_dim = 16;
+  nn::FrameClassifier classifier(cp);
+  ASSERT_TRUE(classifier.Fit(scene.video.frames, scene.truth, 4).ok());
+  auto encoded = codec::VideoEncoder(codec::EncoderParams::Semantic(4, 120))
+                     .Encode(scene.video);
+  ASSERT_TRUE(encoded.ok());
+  const std::size_t mid_split = (classifier.network().LayerCount() + 1) / 2;
+  ASSERT_GT(mid_split, 0u);
+
+  for (const std::size_t split : {std::size_t(0), mid_split}) {
+    SCOPED_TRACE("split " + std::to_string(split));
+    const CorruptRun unbatched = RunCorruptWan(classifier, *encoded, split, 1);
+    const CorruptRun batched = RunCorruptWan(classifier, *encoded, split, 16);
+    for (const CorruptRun* run : {&unbatched, &batched}) {
+      const SessionReport& r = run->report;
+      ExpectReconciled(r);
+      EXPECT_EQ(r.frames_pushed, kFrames);
+      EXPECT_EQ(r.nn_split, split);
+      EXPECT_EQ(r.dropped_wan, 0u);
+      EXPECT_GT(r.dropped_corrupt, 0u) << "no corrupt delivery was dropped";
+      EXPECT_EQ(r.wan_corrupt_bytes > 0, r.dropped_corrupt > 0);
+      EXPECT_GT(r.frames_delivered, 0u);
+    }
+    EXPECT_EQ(batched.report.cloud_batched_frames,
+              batched.report.frames_delivered);
+    EXPECT_EQ(unbatched.rows, batched.rows);
+    EXPECT_EQ(unbatched.report.dropped_corrupt, batched.report.dropped_corrupt);
+    EXPECT_EQ(unbatched.report.wan_corrupt_bytes,
+              batched.report.wan_corrupt_bytes);
+    EXPECT_EQ(unbatched.report.edge_to_cloud_bytes,
+              batched.report.edge_to_cloud_bytes);
+  }
+}
+
 }  // namespace
 }  // namespace sieve::runtime
