@@ -1027,10 +1027,7 @@ FleetScaleResult BenchFleetScale() {
     rc.nn_input_size = 48;
     rc.wan_parallelism = 2;
     rc.cloud_nn_parallelism = 2;
-    if (batched) {
-      rc.cloud_batch_max = 32;
-      rc.cloud_batch_deadline_ms = 20.0;
-    }
+    if (batched) rc.cloud_batch_max = 32;
     runtime::Runtime rt(rc, &classifier);
     std::vector<std::unique_ptr<runtime::SieveSession>> sessions;
     for (std::size_t cam = 0; cam < n; ++cam) {
@@ -1401,7 +1398,6 @@ TraceOverheadRow BenchTraceOverhead(int parallel_threads,
     rc.wan_faults.drop_probability = 0.05;
     rc.adaptive_placement = false;  // same plan both legs, deterministic
     rc.cloud_batch_max = 8;
-    rc.cloud_batch_deadline_ms = 10.0;
     runtime::Runtime rt(rc, &classifier);
     std::vector<std::unique_ptr<runtime::SieveSession>> sessions;
     for (int cam = 0; cam < 2; ++cam) {

@@ -212,7 +212,6 @@ int main(int argc, char** argv) {
   runtime::RuntimeConfig fleet_config;
   fleet_config.nn_input_size = 32;
   fleet_config.cloud_batch_max = 16;
-  fleet_config.cloud_batch_deadline_ms = 20.0;
   fleet_config.cloud_batch_fairness_share = 4;
   fleet_config.wan_parallelism = 2;
   fleet_config.cloud_nn_parallelism = 2;

@@ -8,15 +8,6 @@
 
 namespace sieve::fleet {
 
-namespace {
-
-double MsSince(std::chrono::steady_clock::time_point then,
-               std::chrono::steady_clock::time_point now) {
-  return std::chrono::duration<double, std::milli>(now - then).count();
-}
-
-}  // namespace
-
 InferenceBatcher::InferenceBatcher(const nn::FrameClassifier& classifier,
                                    runtime::Executor& executor,
                                    FleetSchedulerPolicy policy,
@@ -40,11 +31,6 @@ InferenceBatcher::~InferenceBatcher() {
   if (flusher_.joinable()) flusher_.join();
 }
 
-double InferenceBatcher::OldestAgeMs(
-    const std::deque<Item>& queue, std::chrono::steady_clock::time_point now) {
-  return queue.empty() ? 0.0 : MsSince(queue.front().enqueued, now);
-}
-
 void InferenceBatcher::Submit(std::uint64_t camera, std::size_t split,
                               nn::Tensor activation, nn::Precision precision,
                               DoneFn done) {
@@ -64,8 +50,7 @@ void InferenceBatcher::Submit(std::uint64_t camera, std::size_t split,
       return;
     }
     pending_[BatchKey{split, precision}].push_back(
-        Item{std::move(activation), camera, std::move(done),
-             std::chrono::steady_clock::now()});
+        Item{std::move(activation), camera, next_seq_++, std::move(done)});
     ++pending_total_;
     ++stats_.submitted;
     stats_.peak_pending = std::max(stats_.peak_pending, pending_total_);
@@ -73,19 +58,8 @@ void InferenceBatcher::Submit(std::uint64_t camera, std::size_t split,
   work_cv_.notify_all();
 }
 
-void InferenceBatcher::FlushAll() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (pending_total_ == 0) return;
-    force_flush_ = true;
-  }
-  work_cv_.notify_all();
-}
-
 void InferenceBatcher::Drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (pending_total_ > 0) force_flush_ = true;
-  work_cv_.notify_all();
   idle_cv_.wait(lock,
                 [this] { return pending_total_ == 0 && in_flight_ == 0; });
 }
@@ -94,47 +68,21 @@ void InferenceBatcher::FlusherLoop() {
   obs::SetThreadName("batch/flusher");
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    // --- Pick the next flush (or sleep until one is due) -------------------
-    BatchKey flush_key{0, nn::Precision::kFp32};
-    bool found = false;
-    for (;;) {
-      if (pending_total_ == 0) {
-        force_flush_ = false;  // nothing left to force
-        idle_cv_.notify_all();
-        if (stop_) return;
-        work_cv_.wait(lock);
-        continue;
-      }
-      const auto now = std::chrono::steady_clock::now();
-      const bool forced = stop_ || force_flush_;
-      std::chrono::steady_clock::time_point earliest{};
-      bool have_earliest = false;
-      for (const auto& [key, queue] : pending_) {
-        if (queue.empty()) continue;
-        if (forced ||
-            scheduler_.ShouldFlush(queue.size(), OldestAgeMs(queue, now))) {
-          flush_key = key;
-          found = true;
-          break;
-        }
-        if (!have_earliest || queue.front().enqueued < earliest) {
-          earliest = queue.front().enqueued;
-          have_earliest = true;
-        }
-      }
-      if (found) break;
-      // No key is due yet: sleep until the oldest sample hits the deadline
-      // (or a submit/force/stop wakes us earlier).
-      const auto deadline =
-          earliest + std::chrono::duration_cast<
-                         std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             scheduler_.policy().deadline_ms));
-      work_cv_.wait_until(lock, deadline);
+    work_cv_.wait(lock, [this] { return stop_ || pending_total_ > 0; });
+    if (pending_total_ == 0) return;  // stopped, nothing left to serve
+
+    // --- Pick the key whose oldest sample is oldest ------------------------
+    // Every key is due the moment the flusher is free, so map order would
+    // starve the higher keys under sustained load; the submit sequence
+    // serves keys in arrival order of their heads instead.
+    auto oldest = pending_.begin();
+    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+      if (it->second.front().seq < oldest->second.front().seq) oldest = it;
     }
+    const BatchKey flush_key = oldest->first;
 
     // --- Extract the batch (fairness-planned FIFO prefix) ------------------
-    std::deque<Item>& queue = pending_[flush_key];
+    std::deque<Item>& queue = oldest->second;
     std::vector<std::uint64_t> cameras;
     cameras.reserve(queue.size());
     for (const Item& item : queue) cameras.push_back(item.camera);
@@ -148,20 +96,14 @@ void InferenceBatcher::FlusherLoop() {
       queue.erase(queue.begin() + std::ptrdiff_t(*it));
     }
     std::reverse(batch.begin(), batch.end());
-    if (queue.empty()) pending_.erase(flush_key);
+    if (queue.empty()) pending_.erase(oldest);
     const std::size_t n = batch.size();
     pending_total_ -= n;
     in_flight_ = n;
     ++stats_.batches;
     stats_.samples += n;
     stats_.max_batch = std::max(stats_.max_batch, n);
-    if (n >= scheduler_.policy().batch_max) {
-      ++stats_.size_flushes;
-    } else if (stop_ || force_flush_) {
-      ++stats_.forced_flushes;
-    } else {
-      ++stats_.deadline_flushes;
-    }
+    if (n >= scheduler_.policy().batch_max) ++stats_.size_flushes;
 
     // --- Run the batched pass and route predictions back -------------------
     lock.unlock();

@@ -4,23 +4,27 @@
 // split-0 activation) to one cloud; running each through ForwardSuffix alone
 // re-streams the suffix weights through cache per frame. The InferenceBatcher
 // instead collects delivered activations keyed by (split point, inference
-// precision), flushes a batch when a FleetSchedulerPolicy says so (size
-// threshold, or a deadline so lightly loaded fleets keep their latency
-// bound), runs ONE FrameClassifier::PredictBatch pass per flush, and routes
-// every prediction back to its session through a per-sample completion
-// callback. Precision is part of the key so a fleet mixing int8 and fp32
-// sessions never cross-batches: each sample rides a pass at exactly the
-// precision its session asked for.
+// precision), runs ONE FrameClassifier::PredictBatch pass per flush, and
+// routes every prediction back to its session through a per-sample
+// completion callback. Precision is part of the key so a fleet mixing int8
+// and fp32 sessions never cross-batches: each sample rides a pass at exactly
+// the precision its session asked for.
+//
+// Flushing is work-conserving: whenever the flusher is free and anything is
+// pending, it flushes at once — the key whose oldest sample is oldest, its
+// fairness-planned FIFO prefix of up to batch_max samples. Samples that
+// arrive during a pass form the next batch, so batches grow only while the
+// flusher is busy and an idle fleet never waits for a batch to fill.
 //
 // The batch is invisible to correctness: PredictBatch is bit-exact per
 // sample vs the per-frame path (see Layer::ForwardBatch), so a camera's
 // database is identical whether its frames rode batches or not. Submit
 // blocks when the pending window is full (backpressure into the pipeline's
 // serial sink, exactly like a bounded queue), and a session's samples flush
-// in submission order, so per-camera delivery order is preserved.
+// in submission order on the one flusher, so per-camera delivery order is
+// preserved.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -46,9 +50,7 @@ struct BatcherStats {
   std::uint64_t submitted = 0;        ///< samples accepted by Submit
   std::uint64_t batches = 0;          ///< PredictBatch flushes run
   std::uint64_t samples = 0;          ///< samples across all flushes
-  std::uint64_t size_flushes = 0;     ///< flushes triggered by batch_max
-  std::uint64_t deadline_flushes = 0; ///< flushes triggered by the deadline
-  std::uint64_t forced_flushes = 0;   ///< flushes from FlushAll/Drain/stop
+  std::uint64_t size_flushes = 0;     ///< flushes that took batch_max samples
   std::size_t peak_pending = 0;       ///< max samples ever queued at once
   std::size_t max_batch = 0;          ///< largest single flush
 
@@ -74,7 +76,7 @@ class InferenceBatcher {
   InferenceBatcher(const nn::FrameClassifier& classifier,
                    runtime::Executor& executor, FleetSchedulerPolicy policy,
                    std::size_t pending_capacity = 0);
-  /// Drains pending work (forced flushes), then stops the flusher.
+  /// Flushes pending work, then stops the flusher.
   ~InferenceBatcher();
 
   InferenceBatcher(const InferenceBatcher&) = delete;
@@ -90,16 +92,9 @@ class InferenceBatcher {
   void Submit(std::uint64_t camera, std::size_t split, nn::Tensor activation,
               nn::Precision precision, DoneFn done);
 
-  /// Force-flush everything queued, ignoring size/deadline policy. Async:
-  /// sets the flush flag and returns; the flusher drains promptly. The
-  /// runtime calls this when the WAN goes down, so frames that already
-  /// crossed the link settle (delivered) instead of aging toward the
-  /// deadline while sessions swap to edge fallback.
-  void FlushAll();
-
   /// Block until every queued and in-flight sample has completed (its
-  /// callback returned). Pending work is force-flushed. Callers must stop
-  /// submitting first (the runtime drains the pipeline, then the batcher).
+  /// callback returned). Callers must stop submitting first (the runtime
+  /// drains the pipeline, then the batcher).
   void Drain();
 
   BatcherStats stats() const;
@@ -113,14 +108,11 @@ class InferenceBatcher {
   struct Item {
     nn::Tensor activation;
     std::uint64_t camera = 0;
+    std::uint64_t seq = 0;  ///< submit order across every key
     DoneFn done;
-    std::chrono::steady_clock::time_point enqueued;
   };
 
   void FlusherLoop();
-  /// Age (ms) of the oldest sample in `queue` at `now`.
-  static double OldestAgeMs(const std::deque<Item>& queue,
-                            std::chrono::steady_clock::time_point now);
 
   const nn::FrameClassifier& classifier_;
   const FleetScheduler scheduler_;
@@ -130,10 +122,11 @@ class InferenceBatcher {
   std::condition_variable work_cv_;   ///< wakes the flusher
   std::condition_variable space_cv_;  ///< wakes blocked submitters
   std::condition_variable idle_cv_;   ///< wakes Drain
-  std::map<BatchKey, std::deque<Item>> pending_;  ///< (split, precision)
+  /// (split, precision) -> FIFO; a key is erased when its queue empties.
+  std::map<BatchKey, std::deque<Item>> pending_;
   std::size_t pending_total_ = 0;
   std::size_t in_flight_ = 0;  ///< samples inside the current flush
-  bool force_flush_ = false;
+  std::uint64_t next_seq_ = 0;
   bool stop_ = false;
   BatcherStats stats_;
 

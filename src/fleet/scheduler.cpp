@@ -7,17 +7,6 @@ namespace sieve::fleet {
 
 FleetScheduler::FleetScheduler(FleetSchedulerPolicy policy) : policy_(policy) {
   if (policy_.batch_max == 0) policy_.batch_max = 1;
-  if (policy_.deadline_ms < 0.0) policy_.deadline_ms = 0.0;
-}
-
-bool FleetScheduler::ShouldFlush(std::size_t pending,
-                                 double oldest_age_ms) const noexcept {
-  if (pending == 0) return false;
-  return pending >= policy_.batch_max || oldest_age_ms >= policy_.deadline_ms;
-}
-
-double FleetScheduler::RemainingMs(double oldest_age_ms) const noexcept {
-  return policy_.deadline_ms - oldest_age_ms;
 }
 
 std::vector<std::size_t> FleetScheduler::PlanBatch(

@@ -1,5 +1,6 @@
-// Fleet-tier batching policy: when does the cloud flush a batch, and whose
-// samples ride in it.
+// Fleet-tier batching policy: how large a batch may grow, and whose samples
+// ride in it. When to flush is not a knob: both consumers flush whenever
+// their server is free (work-conserving), so batches grow only under load.
 //
 // The policy is deliberately pure — no clocks, no threads, no tensors — so
 // the exact same object drives both the real InferenceBatcher and the
@@ -16,16 +17,12 @@ namespace sieve::fleet {
 
 /// Knobs of the fleet batching tier.
 struct FleetSchedulerPolicy {
-  /// Flush as soon as this many samples pend for one batch key. 1 disables
-  /// batching (every sample is its own flush).
+  /// At most this many samples per flush. 1 disables batching (every
+  /// sample is its own flush).
   std::size_t batch_max = 16;
-  /// Flush when the oldest pending sample has waited this long, whatever
-  /// the occupancy — the latency bound a lightly loaded fleet pays instead
-  /// of waiting forever for a full batch.
-  double deadline_ms = 10.0;
   /// Fairness cap: at most this many samples from one camera per batch
   /// (0 = uncapped). Keeps a single hot camera from monopolizing every
-  /// flush while other cameras' frames age toward the deadline.
+  /// flush while other cameras' frames queue behind it.
   std::size_t fairness_share = 0;
 };
 
@@ -35,14 +32,6 @@ class FleetScheduler {
   explicit FleetScheduler(FleetSchedulerPolicy policy = {});
 
   const FleetSchedulerPolicy& policy() const noexcept { return policy_; }
-
-  /// Should a queue of `pending` samples whose oldest entry has waited
-  /// `oldest_age_ms` flush now?
-  bool ShouldFlush(std::size_t pending, double oldest_age_ms) const noexcept;
-
-  /// The deadline-driven wait budget (ms) left for a queue whose oldest
-  /// sample has waited `oldest_age_ms`. <= 0 means flush now.
-  double RemainingMs(double oldest_age_ms) const noexcept;
 
   /// Compose the next batch from a FIFO of pending samples, identified by
   /// their camera keys in arrival order. Returns the chosen indices,

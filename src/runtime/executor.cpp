@@ -1,14 +1,73 @@
 #include "runtime/executor.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <latch>
+
 namespace sieve::runtime {
 
-ThreadPoolExecutor::ThreadPoolExecutor(std::size_t threads)
-    : pool_(threads > 0 ? threads
-                        : std::max(1u, std::thread::hardware_concurrency())) {}
+ThreadPoolExecutor::ThreadPoolExecutor(std::size_t threads) {
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  workers_.reserve(threads);
+  for (std::size_t i = 0; i < threads; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
+}
+
+ThreadPoolExecutor::~ThreadPoolExecutor() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+}
+
+void ThreadPoolExecutor::WorkerLoop() {
+  for (;;) {
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stopping, nothing left to run
+      task = std::move(tasks_.front());
+      tasks_.pop();
+    }
+    task();
+  }
+}
 
 void ThreadPoolExecutor::ParallelFor(
     std::size_t n, const std::function<void(std::size_t)>& fn) {
-  pool_.ParallelFor(n, fn);
+  if (n == 0) return;
+  // A few chunks per worker balance uneven iterations; each chunk pulls
+  // indices from a shared counter until the range is exhausted.
+  const std::size_t chunks = std::min(n, workers_.size() * 4);
+  std::atomic<std::size_t> next{0};
+  std::latch done{std::ptrdiff_t(chunks)};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  const auto chunk = [&] {
+    try {
+      for (;;) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n) break;
+        fn(i);
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
+    }
+    done.count_down();
+  };
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t c = 0; c < chunks; ++c) tasks_.push(chunk);
+  }
+  cv_.notify_all();
+  done.wait();
+  if (error) std::rethrow_exception(error);
 }
 
 Executor& SharedExecutor() {

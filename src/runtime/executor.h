@@ -19,12 +19,14 @@
 //     data-parallel traffic sharing the pool.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <queue>
 #include <thread>
-
-#include "common/thread_pool.h"
+#include <vector>
 
 namespace sieve::runtime {
 
@@ -61,18 +63,30 @@ class SerialExecutor final : public Executor {
   std::size_t concurrency() const noexcept override { return 1; }
 };
 
-/// A fixed-size worker pool (wraps ThreadPool). `threads == 0` sizes the
-/// pool to the hardware concurrency.
+/// A fixed-size worker pool. `threads == 0` sizes the pool to the hardware
+/// concurrency. ParallelFor hands out indices to the workers in chunks and
+/// blocks the caller until every iteration has run; an exception thrown by
+/// an iteration is rethrown on the caller.
 class ThreadPoolExecutor final : public Executor {
  public:
   explicit ThreadPoolExecutor(std::size_t threads = 0);
+  ~ThreadPoolExecutor() override;
+
+  ThreadPoolExecutor(const ThreadPoolExecutor&) = delete;
+  ThreadPoolExecutor& operator=(const ThreadPoolExecutor&) = delete;
 
   void ParallelFor(std::size_t n,
                    const std::function<void(std::size_t)>& fn) override;
-  std::size_t concurrency() const noexcept override { return pool_.size(); }
+  std::size_t concurrency() const noexcept override { return workers_.size(); }
 
  private:
-  ThreadPool pool_;
+  void WorkerLoop();
+
+  std::mutex mutex_;
+  std::condition_variable cv_;               ///< wakes idle workers
+  std::queue<std::function<void()>> tasks_;  ///< guarded by mutex_
+  bool stopping_ = false;                    ///< guarded by mutex_
+  std::vector<std::thread> workers_;  ///< last member: joins before teardown
 };
 
 /// The process-wide shared pool, sized to the hardware, constructed on first

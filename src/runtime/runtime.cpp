@@ -296,10 +296,10 @@ Runtime::Runtime(RuntimeConfig config, const nn::FrameClassifier* classifier,
   if (config_.cloud_batch_max > 1 && classifier_ != nullptr) {
     fleet::FleetSchedulerPolicy policy;
     policy.batch_max = config_.cloud_batch_max;
-    policy.deadline_ms = config_.cloud_batch_deadline_ms;
     policy.fairness_share = config_.cloud_batch_fairness_share;
     batcher_ = std::make_unique<fleet::InferenceBatcher>(*classifier_,
                                                          *executor_, policy);
+    batch_wait_ms_ = registry_->GetHistogram("batch.wait_ms");
   }
   BuildTiers();
   // Recovery failure (unusable store dir) already poisoned start_status_;
@@ -604,7 +604,8 @@ void Runtime::BuildTiers() {
     // Batcher residency is observable per frame: the submit instant here,
     // the covering "batch/flush" span on the flusher thread, and the
     // "db/insert" span in the callback bound the time the frame spent
-    // queued versus in the batched pass.
+    // queued versus in the batched pass. batch.wait_ms records the same
+    // submit-to-callback interval with tracing off.
     obs::RecordInstant("batch/submit", file.trace, "split",
                        std::uint64_t(split));
     // Submit blocks while the batcher's window is full — that is this
@@ -614,8 +615,10 @@ void Runtime::BuildTiers() {
     // incarnation.
     batcher_->Submit(
         session.track, split, std::move(activation), session.precision,
-        [file = std::move(file)](Expected<synth::LabelSet> label,
-                                 std::size_t batch_size) {
+        [file = std::move(file), wait_ms = batch_wait_ms_,
+         submitted = Stopwatch()](Expected<synth::LabelSet> label,
+                                  std::size_t batch_size) {
+          wait_ms->Record(submitted.ElapsedMillis());
           if (!label.ok()) {
             file.session->RecordOutcome(
                 file, internal::FrameOutcome::kDroppedCorrupt);
@@ -665,13 +668,6 @@ void Runtime::MaybeReactToWanHealth() {
 }
 
 void Runtime::ApplyWanHealth(net::LinkHealth link) {
-  // Link down: frames already past the WAN sit in the batcher aging toward
-  // its deadline while every session swaps to edge fallback. Force-flush so
-  // they settle (delivered) promptly and the delivered-or-dropped ledger
-  // reconciles exactly across the outage.
-  if (link == net::LinkHealth::kDown && batcher_ != nullptr) {
-    batcher_->FlushAll();
-  }
   const std::size_t layers = classifier_->network().LayerCount();
   std::vector<std::shared_ptr<internal::SessionState>> states;
   {

@@ -112,15 +112,13 @@ struct RuntimeConfig {
   /// inference itself.
   int cloud_nn_parallelism = 1;
   /// Cross-session batched cloud inference (src/fleet/): > 1 routes every
-  /// delivered activation/still through an InferenceBatcher that flushes
-  /// one batched ForwardSuffix pass per size threshold or deadline.
+  /// delivered activation/still through an InferenceBatcher that runs one
+  /// batched ForwardSuffix pass of up to this many samples whenever its
+  /// flusher is free — an idle batcher flushes a lone frame at once.
   /// Per-sample results are bit-exact vs the per-frame path, so enabling
   /// batching never changes any camera's database. <= 1 disables batching
   /// (the cloud/nn stage predicts inline, frame by frame).
   std::size_t cloud_batch_max = 1;
-  /// Age bound (ms) on a partially filled batch: a lightly loaded fleet
-  /// flushes at this deadline instead of waiting for a full batch.
-  double cloud_batch_deadline_ms = 10.0;
   /// Fairness: max samples one camera may hold in a single batch
   /// (0 = uncapped); see fleet::FleetSchedulerPolicy.
   std::size_t cloud_batch_fairness_share = 0;
@@ -593,6 +591,9 @@ class Runtime {
   /// before pipeline_ on purpose: the sink submits into the batcher, so it
   /// must outlive the pipeline's teardown.
   std::unique_ptr<fleet::InferenceBatcher> batcher_;
+  /// batch.wait_ms: per batched frame, sink Submit to its callback (null
+  /// without a batcher).
+  obs::Histogram* batch_wait_ms_ = nullptr;
   dataflow::Pipeline pipeline_;
   Status start_status_;
   /// Query layer + the shared stream clock's epoch (sessions are stamped

@@ -51,27 +51,16 @@ void QueueNetwork::ArriveAt(Pending pending) {
   station.stats.peak_queue =
       std::max(station.stats.peak_queue, station.queue.size());
   if (station.batch) {
-    // The arriving job may not fill a batch; make sure the deadline can
-    // still flush it. One wakeup per arrival keeps the logic stateless
-    // (the event is a no-op if the job already flushed). The epsilon keeps
-    // floating-point ages from landing a hair under the deadline.
-    sim_->ScheduleIn(
-        station.scheduler.policy().deadline_ms / 1e3 + 1e-9,
-        [this, sid] { TryStartBatch(sid); });
     TryStartBatch(sid);
-    return;
+  } else {
+    TryStart(sid);
   }
-  TryStart(sid);
 }
 
 void QueueNetwork::TryStartBatch(int station_id) {
   Station& station = stations_[std::size_t(station_id)];
+  // Work-conserving: a free server flushes whatever is queued at once.
   while (station.busy < station.servers && !station.queue.empty()) {
-    const double oldest_age_ms =
-        (sim_->Now() - station.queue.front().enqueued_at) * 1e3;
-    if (!station.scheduler.ShouldFlush(station.queue.size(), oldest_age_ms)) {
-      return;  // the per-arrival deadline wakeup will revisit
-    }
     // Compose the batch exactly like the live batcher: fairness-planned
     // FIFO prefix keyed by Job::kind (the camera).
     std::vector<std::uint64_t> cameras;

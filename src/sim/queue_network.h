@@ -58,13 +58,14 @@ class QueueNetwork {
   /// Returns the station id.
   int AddStation(std::string name, int servers, ServiceFn service);
 
-  /// A batching FCFS station: jobs accumulate until the FleetScheduler
-  /// policy flushes them (batch_max samples, or the oldest job hits the
-  /// deadline), then one batched pass serves the whole batch on a free
-  /// server. Job::kind is the fairness key (camera id). This is the DES
-  /// twin of fleet::InferenceBatcher — the same policy object drives both,
-  /// so a candidate batch/deadline/fairness setting is validated at
-  /// 10k-camera scale in virtual time before the live runtime hosts it.
+  /// A batching FCFS station: whenever a server is free and jobs are
+  /// queued, one batched pass serves the fairness-planned FIFO prefix (up
+  /// to batch_max jobs) at once; jobs that arrive while every server is
+  /// busy form the next batch. Job::kind is the fairness key (camera id).
+  /// This is the DES twin of fleet::InferenceBatcher — the same policy
+  /// object and flush rule drive both, so a candidate batch/fairness
+  /// setting is validated at 10k-camera scale in virtual time before the
+  /// live runtime hosts it.
   int AddBatchStation(std::string name, int servers,
                       fleet::FleetSchedulerPolicy policy,
                       BatchServiceFn service);

@@ -1,68 +1,55 @@
-#include "common/thread_pool.h"
+// The worker pool behind runtime::ThreadPoolExecutor (formerly
+// common/thread_pool): every ParallelFor index runs exactly once, on pool
+// workers, for any pool size.
+#include "runtime/executor.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <thread>
 #include <vector>
 
 namespace sieve {
 namespace {
 
-TEST(ThreadPool, ExecutesSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ReturnsValuesThroughFutures) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
+using runtime::ThreadPoolExecutor;
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  ThreadPoolExecutor pool(4);
+  EXPECT_EQ(pool.concurrency(), 4u);
+  constexpr std::size_t kN = 1000;
+  std::vector<std::atomic<int>> hits(kN);
+  pool.ParallelFor(kN, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPool, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
+  ThreadPoolExecutor pool(2);
   bool touched = false;
   pool.ParallelFor(0, [&touched](std::size_t) { touched = true; });
   EXPECT_FALSE(touched);
 }
 
 TEST(ThreadPool, SingleThreadPoolStillWorks) {
-  ThreadPool pool(1);
+  ThreadPoolExecutor pool(1);
+  EXPECT_EQ(pool.concurrency(), 1u);
+  const auto caller = std::this_thread::get_id();
   std::atomic<int> sum{0};
-  pool.ParallelFor(10, [&sum](std::size_t i) { sum.fetch_add(int(i)); });
+  pool.ParallelFor(10, [&](std::size_t i) {
+    EXPECT_NE(std::this_thread::get_id(), caller);
+    sum.fetch_add(int(i));
+  });
   EXPECT_EQ(sum.load(), 45);
 }
 
-TEST(ThreadPool, ZeroRequestedThreadsClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  auto f = pool.Submit([] { return 1; });
-  EXPECT_EQ(f.get(), 1);
-}
-
-TEST(ThreadPool, DrainsTasksOnDestruction) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-  }  // destructor must run all 50
-  EXPECT_EQ(counter.load(), 50);
+TEST(ThreadPool, ZeroRequestedThreadsSizesToHardware) {
+  ThreadPoolExecutor pool(0);
+  EXPECT_EQ(pool.concurrency(),
+            std::max(1u, std::thread::hardware_concurrency()));
+  std::atomic<int> ran{0};
+  pool.ParallelFor(3, [&ran](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 3);
 }
 
 }  // namespace

@@ -1,13 +1,20 @@
-// InferenceBatcher behaviour: size/deadline/forced flushes, bit-exact
-// batched predictions, per-camera callback order, shape validation, and
-// drain semantics — the live half of the fleet batching tier.
+// InferenceBatcher behaviour: work-conserving flushes, oldest-key-first
+// service, bit-exact batched predictions, per-camera callback order,
+// fairness, shape validation, and drain semantics — the live half of the
+// fleet batching tier. Batches are built on purpose: a FlusherGate parks
+// the flusher inside one sample's callback while a test queues a backlog,
+// so the batches that follow are deterministic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "fleet/batcher.h"
@@ -77,6 +84,44 @@ struct Collector {
   }
 };
 
+// Parks the flusher inside a lone sample's completion callback (which runs
+// on the flusher thread), so samples submitted meanwhile queue up as one
+// backlog. Declare it before the batcher: the parked callback touches the
+// gate until it returns, and the batcher joins its flusher on destruction.
+class FlusherGate {
+ public:
+  /// Submits the gate sample and returns once the flusher is parked in its
+  /// callback. The batcher must be idle.
+  void Close(InferenceBatcher& batcher, const nn::Network& net) {
+    const std::size_t split = net.LayerCount();
+    batcher.Submit(/*camera=*/~std::uint64_t{0}, split,
+                   DeterministicInput(net.ShapeAtLayer(split), 999),
+                   nn::Precision::kFp32,
+                   [this](Expected<synth::LabelSet>, std::size_t) {
+                     std::unique_lock<std::mutex> lock(mutex_);
+                     parked_ = true;
+                     cv_.notify_all();
+                     cv_.wait(lock, [this] { return released_; });
+                   });
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  /// Releases the flusher to serve the backlog.
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
 TEST(InferenceBatcher, SizeFlushBatchesAndPredictionsBitExact) {
   const nn::FrameClassifier& classifier = SharedClassifier();
   const nn::Network& net = classifier.network();
@@ -85,30 +130,35 @@ TEST(InferenceBatcher, SizeFlushBatchesAndPredictionsBitExact) {
   runtime::SerialExecutor executor;
   FleetSchedulerPolicy policy;
   policy.batch_max = 4;
-  policy.deadline_ms = 60'000.0;  // never: size must trigger every flush
   Collector collector;
+  FlusherGate gate;
   std::vector<std::uint32_t> expected_bits;
+  std::vector<nn::Tensor> acts;
+  for (std::size_t i = 0; i < 8; ++i) {
+    acts.push_back(
+        net.ForwardPrefix(DeterministicInput(net.input_shape(), i), split));
+    auto single = classifier.PredictFromEmbedding(
+        net.ForwardSuffix(acts.back(), split).values());
+    ASSERT_TRUE(single.ok());
+    expected_bits.push_back(single->bits());
+  }
   {
     InferenceBatcher batcher(classifier, executor, policy);
+    gate.Close(batcher, net);
     for (std::size_t i = 0; i < 8; ++i) {
-      nn::Tensor act =
-          net.ForwardPrefix(DeterministicInput(net.input_shape(), i), split);
-      auto single = classifier.PredictFromEmbedding(
-          net.ForwardSuffix(act, split).values());
-      ASSERT_TRUE(single.ok());
-      expected_bits.push_back(single->bits());
-      batcher.Submit(i % 2, split, std::move(act), nn::Precision::kFp32,
+      batcher.Submit(i % 2, split, std::move(acts[i]), nn::Precision::kFp32,
                      collector.Callback(i % 2, i));
     }
+    gate.Open();  // the 8-sample backlog flushes as two full batches
     batcher.Drain();
     const BatcherStats stats = batcher.stats();
-    EXPECT_EQ(stats.submitted, 8u);
-    EXPECT_EQ(stats.samples, 8u);
-    EXPECT_EQ(stats.batches, 2u);
+    // Counts include the gate's own size-1 flush.
+    EXPECT_EQ(stats.submitted, 9u);
+    EXPECT_EQ(stats.samples, 9u);
+    EXPECT_EQ(stats.batches, 3u);
     EXPECT_EQ(stats.size_flushes, 2u);
-    EXPECT_EQ(stats.deadline_flushes, 0u);
     EXPECT_EQ(stats.max_batch, 4u);
-    EXPECT_DOUBLE_EQ(stats.occupancy_avg(), 4.0);
+    EXPECT_DOUBLE_EQ(stats.occupancy_avg(), 3.0);
   }
   ASSERT_EQ(collector.done.size(), 8u);
   for (const auto& d : collector.done) {
@@ -119,50 +169,146 @@ TEST(InferenceBatcher, SizeFlushBatchesAndPredictionsBitExact) {
   }
 }
 
-TEST(InferenceBatcher, DeadlineFlushesPartialBatch) {
+TEST(InferenceBatcher, BacklogBehindBusyFlusherIsTheNextBatch) {
   const nn::FrameClassifier& classifier = SharedClassifier();
   const nn::Network& net = classifier.network();
+  const std::size_t split = net.LayerCount();
 
   runtime::SerialExecutor executor;
   FleetSchedulerPolicy policy;
-  policy.batch_max = 100;  // never filled: the deadline must flush
-  policy.deadline_ms = 5.0;
-  InferenceBatcher batcher(classifier, executor, policy);
-  Collector collector;
-  for (std::size_t i = 0; i < 3; ++i) {
-    batcher.Submit(7, 0, DeterministicInput(net.input_shape(), i),
-                   nn::Precision::kFp32, collector.Callback(7, i));
+  policy.batch_max = 4;
+  for (const std::size_t backlog : {std::size_t{3}, std::size_t{6}}) {
+    Collector collector;
+    FlusherGate gate;
+    InferenceBatcher batcher(classifier, executor, policy);
+    gate.Close(batcher, net);
+    for (std::size_t i = 0; i < backlog; ++i) {
+      batcher.Submit(1, split, DeterministicInput(net.ShapeAtLayer(split), i),
+                     nn::Precision::kFp32, collector.Callback(1, i));
+    }
+    gate.Open();
+    batcher.Drain();
+    ASSERT_EQ(collector.done.size(), backlog);
+    // The flush after the gate takes min(backlog, batch_max); the rest of
+    // the backlog rides the one after.
+    const std::size_t first = std::min(backlog, policy.batch_max);
+    for (std::size_t i = 0; i < backlog; ++i) {
+      EXPECT_EQ(collector.done[i].seq, i);
+      EXPECT_EQ(collector.done[i].batch_size,
+                i < first ? first : backlog - first)
+          << "backlog " << backlog << ", sample " << i;
+    }
   }
-  ASSERT_TRUE(collector.WaitFor(3, std::chrono::seconds(10)))
-      << "deadline flush never fired";
-  const BatcherStats stats = batcher.stats();
-  EXPECT_GE(stats.deadline_flushes, 1u);
-  EXPECT_EQ(stats.samples, 3u);
-  for (const auto& d : collector.done) ASSERT_TRUE(d.label.ok());
 }
 
-TEST(InferenceBatcher, FlushAllDrainsPendingWithoutPolicyTrigger) {
+TEST(InferenceBatcher, LoneSampleOnIdleBatcherFlushesAtOnce) {
   const nn::FrameClassifier& classifier = SharedClassifier();
   const nn::Network& net = classifier.network();
 
   runtime::SerialExecutor executor;
   FleetSchedulerPolicy policy;
-  policy.batch_max = 100;
-  policy.deadline_ms = 60'000.0;
-  InferenceBatcher batcher(classifier, executor, policy);
+  policy.batch_max = 16;
   Collector collector;
-  for (std::size_t i = 0; i < 5; ++i) {
-    batcher.Submit(3, 0, DeterministicInput(net.input_shape(), i),
-                   nn::Precision::kFp32, collector.Callback(3, i));
+  InferenceBatcher batcher(classifier, executor, policy);
+  batcher.Submit(7, 0, DeterministicInput(net.input_shape(), 0),
+                 nn::Precision::kFp32, collector.Callback(7, 0));
+  // No Drain: an idle flusher serves the sample without waiting for the
+  // batch to fill.
+  ASSERT_TRUE(collector.WaitFor(1, std::chrono::seconds(10)))
+      << "an idle batcher held a lone sample";
+  std::lock_guard<std::mutex> lock(collector.mutex);
+  ASSERT_TRUE(collector.done[0].label.ok());
+  EXPECT_EQ(collector.done[0].batch_size, 1u);
+}
+
+TEST(InferenceBatcher, OldestKeyFlushesFirstWhileAnotherIsRefilled) {
+  const nn::FrameClassifier& classifier = SharedClassifier();
+  const nn::Network& net = classifier.network();
+  // Key A sorts before key B in (split, precision) order.
+  const std::size_t split_a = net.LayerCount() - 1;
+  const std::size_t split_b = net.LayerCount();
+  constexpr int kRefills = 3;
+
+  runtime::SerialExecutor executor;
+  FleetSchedulerPolicy policy;
+  policy.batch_max = 4;
+  std::mutex order_mutex;
+  std::vector<std::string> order;
+  const auto record = [&](std::string name) {
+    std::lock_guard<std::mutex> lock(order_mutex);
+    order.push_back(std::move(name));
+  };
+  FlusherGate gate;
+  {
+    InferenceBatcher batcher(classifier, executor, policy);
+    // Each key-A completion submits the next key-A sample from the flusher
+    // thread, so key A is pending again every time the flusher picks a key.
+    std::function<void(int)> submit_a = [&](int n) {
+      batcher.Submit(1, split_a,
+                     DeterministicInput(net.ShapeAtLayer(split_a), n),
+                     nn::Precision::kFp32,
+                     [&, n](Expected<synth::LabelSet> label, std::size_t) {
+                       EXPECT_TRUE(label.ok());
+                       record("a" + std::to_string(n));
+                       if (n < kRefills) submit_a(n + 1);
+                     });
+    };
+    gate.Close(batcher, net);
+    submit_a(0);
+    batcher.Submit(2, split_b, DeterministicInput(net.ShapeAtLayer(split_b), 0),
+                   nn::Precision::kFp32,
+                   [&](Expected<synth::LabelSet> label, std::size_t) {
+                     EXPECT_TRUE(label.ok());
+                     record("b");
+                   });
+    gate.Open();
+    batcher.Drain();
   }
-  batcher.FlushAll();  // async: the kDown path
-  ASSERT_TRUE(collector.WaitFor(5, std::chrono::seconds(10)));
-  batcher.Drain();
-  const BatcherStats stats = batcher.stats();
-  EXPECT_EQ(stats.samples, 5u);
-  EXPECT_GE(stats.forced_flushes, 1u);
-  EXPECT_EQ(stats.deadline_flushes, 0u);
-  EXPECT_EQ(stats.size_flushes, 0u);
+  // b has been waiting longer than every refill, so it flushes right after
+  // a0; choosing keys in map order would serve a1..a3 first.
+  EXPECT_EQ(order, (std::vector<std::string>{"a0", "b", "a1", "a2", "a3"}));
+}
+
+TEST(InferenceBatcher, FairnessShareCapsHotCameraInABacklog) {
+  const nn::FrameClassifier& classifier = SharedClassifier();
+  const nn::Network& net = classifier.network();
+  const std::size_t split = net.LayerCount();
+
+  runtime::SerialExecutor executor;
+  FleetSchedulerPolicy policy;
+  policy.batch_max = 4;
+  policy.fairness_share = 2;
+  Collector collector;
+  FlusherGate gate;
+  {
+    InferenceBatcher batcher(classifier, executor, policy);
+    gate.Close(batcher, net);
+    // Camera 1 floods four samples ahead of camera 2's two.
+    for (std::size_t seq = 0; seq < 4; ++seq) {
+      batcher.Submit(1, split,
+                     DeterministicInput(net.ShapeAtLayer(split), seq),
+                     nn::Precision::kFp32, collector.Callback(1, seq));
+    }
+    for (std::size_t seq = 0; seq < 2; ++seq) {
+      batcher.Submit(2, split,
+                     DeterministicInput(net.ShapeAtLayer(split), 10 + seq),
+                     nn::Precision::kFp32, collector.Callback(2, seq));
+    }
+    gate.Open();
+    batcher.Drain();
+  }
+  // Camera 1 keeps two slots of the first batch; camera 2 fills the rest,
+  // and camera 1's excess rides the next flush, still in order.
+  const std::vector<std::tuple<std::uint64_t, std::size_t, std::size_t>>
+      expected = {{1, 0, 4}, {1, 1, 4}, {2, 0, 4}, {2, 1, 4},
+                  {1, 2, 2}, {1, 3, 2}};
+  ASSERT_EQ(collector.done.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& d = collector.done[i];
+    ASSERT_TRUE(d.label.ok());
+    EXPECT_EQ(std::make_tuple(d.camera, d.seq, d.batch_size), expected[i])
+        << "completion " << i;
+  }
 }
 
 TEST(InferenceBatcher, RejectsShapeMismatchImmediately) {
@@ -192,7 +338,6 @@ TEST(InferenceBatcher, PerCameraCallbackOrderSurvivesConcurrentSubmitters) {
   runtime::SerialExecutor executor;
   FleetSchedulerPolicy policy;
   policy.batch_max = 4;
-  policy.deadline_ms = 2.0;
   policy.fairness_share = 2;
   constexpr std::size_t kCameras = 4;
   constexpr std::size_t kPerCamera = 24;
@@ -233,31 +378,38 @@ TEST(InferenceBatcher, MixedPrecisionsNeverCrossBatch) {
   runtime::SerialExecutor executor;
   FleetSchedulerPolicy policy;
   policy.batch_max = 4;
-  policy.deadline_ms = 60'000.0;  // size-only: a mixed batch would reach 4
   Collector collector;
-  std::vector<std::uint32_t> expected_bits(8);
+  FlusherGate gate;
+  const auto precision_of = [](std::size_t i) {
+    return i % 2 == 0 ? nn::Precision::kFp32 : nn::Precision::kInt8;
+  };
+  std::vector<std::uint32_t> expected_bits;
+  std::vector<nn::Tensor> acts;
+  for (std::size_t i = 0; i < 8; ++i) {
+    acts.push_back(net.ForwardPrefix(DeterministicInput(net.input_shape(), i),
+                                     split, precision_of(i)));
+    auto single = classifier.PredictFromEmbedding(
+        net.ForwardSuffix(acts.back(), split, precision_of(i)).values());
+    ASSERT_TRUE(single.ok());
+    expected_bits.push_back(single->bits());
+  }
   {
     InferenceBatcher batcher(classifier, executor, policy);
-    // Interleave fp32 and int8 submissions. With precision in the batch
-    // key, each mode fills its own 4-slot batch; without it the first four
-    // interleaved samples would flush as one mixed batch and the int8
-    // samples would silently run at the wrong precision.
+    gate.Close(batcher, net);
+    // Interleave fp32 and int8 submissions into one backlog. With precision
+    // in the batch key, each mode fills its own 4-slot batch; without it
+    // the first four interleaved samples would flush as one mixed batch and
+    // the int8 samples would silently run at the wrong precision.
     for (std::size_t i = 0; i < 8; ++i) {
-      const nn::Precision precision =
-          i % 2 == 0 ? nn::Precision::kFp32 : nn::Precision::kInt8;
-      nn::Tensor act = net.ForwardPrefix(DeterministicInput(net.input_shape(), i),
-                                         split, precision);
-      auto single = classifier.PredictFromEmbedding(
-          net.ForwardSuffix(act, split, precision).values());
-      ASSERT_TRUE(single.ok());
-      expected_bits[i] = single->bits();
-      batcher.Submit(i, split, std::move(act), precision,
+      batcher.Submit(i, split, std::move(acts[i]), precision_of(i),
                      collector.Callback(i, i));
     }
+    gate.Open();
     batcher.Drain();
     const BatcherStats stats = batcher.stats();
-    EXPECT_EQ(stats.samples, 8u);
-    EXPECT_EQ(stats.batches, 2u) << "one full batch per precision";
+    EXPECT_EQ(stats.samples, 9u);
+    EXPECT_EQ(stats.batches, 3u)
+        << "one full batch per precision, after the gate's";
     EXPECT_EQ(stats.size_flushes, 2u);
   }
   ASSERT_EQ(collector.done.size(), 8u);
@@ -276,10 +428,11 @@ TEST(InferenceBatcher, DestructorDrainsOutstandingWork) {
   runtime::SerialExecutor executor;
   FleetSchedulerPolicy policy;
   policy.batch_max = 100;
-  policy.deadline_ms = 60'000.0;
   std::atomic<int> completions{0};
+  FlusherGate gate;
   {
     InferenceBatcher batcher(classifier, executor, policy);
+    gate.Close(batcher, net);
     for (std::size_t i = 0; i < 3; ++i) {
       batcher.Submit(1, 0, DeterministicInput(net.input_shape(), i),
                      nn::Precision::kFp32,
@@ -288,7 +441,8 @@ TEST(InferenceBatcher, DestructorDrainsOutstandingWork) {
                        ++completions;
                      });
     }
-  }  // ~InferenceBatcher: forced flush, callbacks fire before teardown
+    gate.Open();
+  }  // ~InferenceBatcher: the backlog flushes, callbacks fire before teardown
   EXPECT_EQ(completions.load(), 3);
 }
 

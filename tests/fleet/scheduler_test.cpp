@@ -1,6 +1,6 @@
-// FleetScheduler policy semantics: flush triggers and fairness-planned batch
-// composition. The policy is pure, so these tests pin the exact behaviour
-// both the live InferenceBatcher and the DES batch stations inherit.
+// FleetScheduler policy semantics: fairness-planned batch composition. The
+// policy is pure, so these tests pin the exact behaviour both the live
+// InferenceBatcher and the DES batch stations inherit.
 #include <gtest/gtest.h>
 
 #include "fleet/scheduler.h"
@@ -8,36 +8,12 @@
 namespace sieve::fleet {
 namespace {
 
-TEST(FleetScheduler, FlushesOnSizeThreshold) {
-  FleetSchedulerPolicy p;
-  p.batch_max = 4;
-  p.deadline_ms = 1000.0;
-  const FleetScheduler s(p);
-  EXPECT_FALSE(s.ShouldFlush(0, 0.0));
-  EXPECT_FALSE(s.ShouldFlush(3, 0.0));
-  EXPECT_TRUE(s.ShouldFlush(4, 0.0));
-  EXPECT_TRUE(s.ShouldFlush(9, 0.0));
-}
-
-TEST(FleetScheduler, FlushesOnDeadline) {
-  FleetSchedulerPolicy p;
-  p.batch_max = 100;
-  p.deadline_ms = 10.0;
-  const FleetScheduler s(p);
-  EXPECT_FALSE(s.ShouldFlush(1, 9.5));
-  EXPECT_TRUE(s.ShouldFlush(1, 10.0));
-  EXPECT_TRUE(s.ShouldFlush(1, 50.0));
-  EXPECT_GT(s.RemainingMs(2.5), 0.0);
-  EXPECT_LE(s.RemainingMs(10.0), 0.0);
-}
-
 TEST(FleetScheduler, ClampsDegenerateKnobs) {
   FleetSchedulerPolicy p;
-  p.batch_max = 0;     // clamps to 1
-  p.deadline_ms = -5;  // clamps to 0: flush immediately
+  p.batch_max = 0;  // clamps to 1
   const FleetScheduler s(p);
   EXPECT_EQ(s.policy().batch_max, 1u);
-  EXPECT_TRUE(s.ShouldFlush(1, 0.0));
+  EXPECT_EQ(s.PlanBatch({7, 7}), (std::vector<std::size_t>{0}));
 }
 
 TEST(FleetScheduler, PlanBatchTakesFifoPrefixWithoutFairness) {

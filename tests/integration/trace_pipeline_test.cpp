@@ -61,7 +61,6 @@ RunResult RunPipeline(const synth::SyntheticVideo& scene,
   config.wan_retry.max_attempts = 8;
   config.adaptive_placement = false;
   config.cloud_batch_max = 8;
-  config.cloud_batch_deadline_ms = 10.0;
   Runtime runtime(config, classifier);
 
   SessionConfig sc;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -22,18 +24,20 @@ TEST(SerialExecutor, RunsInOrderOnCallingThread) {
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(ThreadPoolExecutor, CoversEveryIndexOnce) {
-  ThreadPoolExecutor exec(4);
-  EXPECT_EQ(exec.concurrency(), 4u);
-  constexpr std::size_t kN = 1000;
-  std::vector<std::atomic<int>> hits(kN);
-  exec.ParallelFor(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPoolExecutor, ZeroSizesToHardware) {
-  ThreadPoolExecutor exec(0);
-  EXPECT_GE(exec.concurrency(), 1u);
+TEST(ThreadPoolExecutor, RethrowsAnIterationsExceptionOnTheCaller) {
+  ThreadPoolExecutor exec(3);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(exec.ParallelFor(100,
+                                [&](std::size_t i) {
+                                  ++ran;
+                                  if (i == 42) throw std::runtime_error("x");
+                                }),
+               std::runtime_error);
+  EXPECT_GE(ran.load(), 1);
+  // The pool survives: the next loop runs normally.
+  std::atomic<int> after{0};
+  exec.ParallelFor(8, [&](std::size_t) { ++after; });
+  EXPECT_EQ(after.load(), 8);
 }
 
 TEST(Executor, SpawnWorkerIsDedicatedThread) {

@@ -470,7 +470,6 @@ TEST_F(RuntimeTest, Int8SessionsRideTheirOwnBatches) {
   // passes and its database matches an unbatched int8 session exactly.
   RuntimeConfig batched_config = SmallConfig();
   batched_config.cloud_batch_max = 4;
-  batched_config.cloud_batch_deadline_ms = 1.0;
   Runtime runtime(batched_config, classifier_);
 
   SessionConfig int8_cfg = SceneSession();

@@ -38,7 +38,6 @@ FleetRun RunFleet(int cameras, int frames, bool batched, int servers) {
   if (batched) {
     fleet::FleetSchedulerPolicy policy;
     policy.batch_max = 32;
-    policy.deadline_ms = 25.0;
     cloud = net.AddBatchStation("cloud/nn", servers, policy, BatchedService);
   } else {
     cloud = net.AddStation("cloud/nn", servers, PerFrameService);
@@ -86,27 +85,27 @@ TEST(FleetBatchSim, BatchingAmortizesFixedCostAt10kCameras) {
   EXPECT_EQ(unbatched.cloud.batches, 0u);
 }
 
-TEST(FleetBatchSim, DeadlineBoundsLatencyWhenLightlyLoaded) {
-  // One camera trickling frames: batches never fill, so the deadline is the
-  // only flush trigger and per-frame latency stays near deadline + service.
+TEST(FleetBatchSim, IdleStationServesEachArrivalAtOnce) {
+  // One camera trickling frames: the station is idle at every arrival, so
+  // each frame flushes alone the moment it arrives and its latency is
+  // exactly one single-sample pass — no wait for the batch to fill.
   Simulator sim;
   QueueNetwork net(&sim);
   fleet::FleetSchedulerPolicy policy;
   policy.batch_max = 64;
-  policy.deadline_ms = 25.0;
   const int cloud = net.AddBatchStation("cloud/nn", 1, policy, BatchedService);
   constexpr int kFrames = 20;
   for (int f = 0; f < kFrames; ++f) {
     Job job;
     job.id = std::uint64_t(f);
-    net.Inject(job, {cloud}, 0.2 * f);  // far apart: no size flushes
+    net.Inject(job, {cloud}, 0.2 * f);  // far apart: the station idles
   }
   net.Run();
   EXPECT_EQ(net.jobs_completed(), std::uint64_t(kFrames));
   EXPECT_EQ(net.stats(cloud).batches, std::uint64_t(kFrames))
-      << "sparse arrivals: every frame rides its own deadline flush";
-  // Latency = deadline wait + one-sample pass, give or take the epsilon.
-  EXPECT_NEAR(net.mean_latency(), 0.025 + kFixedCost + kPerSample, 1e-3);
+      << "sparse arrivals: every frame rides its own flush";
+  EXPECT_DOUBLE_EQ(net.stats(cloud).total_wait_seconds, 0.0);
+  EXPECT_NEAR(net.mean_latency(), kFixedCost + kPerSample, 1e-12);
 }
 
 TEST(FleetBatchSim, FairnessShareKeepsHotCameraFromStarvingOthers) {
@@ -114,7 +113,6 @@ TEST(FleetBatchSim, FairnessShareKeepsHotCameraFromStarvingOthers) {
   QueueNetwork net(&sim);
   fleet::FleetSchedulerPolicy policy;
   policy.batch_max = 8;
-  policy.deadline_ms = 1000.0;
   policy.fairness_share = 2;
   const int cloud = net.AddBatchStation("cloud/nn", 1, policy, BatchedService);
   // Camera 0 floods 64 frames at t=0; cameras 1..7 push one frame each just

@@ -132,7 +132,7 @@ METRICS = [
     # Aggregate batched fps / worst-camera p99 at the largest fleet:
     # absolute numbers with no in-run reference, so the widest band — they
     # fire only on a serving-path catastrophe (batcher serializing the
-    # fleet, a deadline that sleeps real time per frame).
+    # fleet, a flusher that sleeps real time per frame).
     ("fleet_scale.batched_fps_at_max", False, 4.0),
     ("fleet_scale.batched_p99_at_max_ms", True, 20.0),
     # Int8-vs-fp32 backbone forward: same-process and machine-normalized,
