@@ -1,5 +1,6 @@
 // Hot-path performance harness: encode throughput, motion-search candidate
-// throughput, GEMM / CNN-forward arithmetic throughput, multi-camera
+// throughput, GEMM / CNN-forward arithmetic throughput (the GEMM per kernel
+// table, the forward per layer at fp32 and int8), multi-camera
 // fan-in, and NN placement (all-edge / all-cloud / auto-split), each
 // measured against its serial / unpruned / naive reference IN THE SAME RUN
 // so every speedup quoted is apples-to-apples on this machine. Emits a JSON
@@ -247,16 +248,25 @@ MotionResultRow BenchMotion() {
 
 // -------------------------------------------------------------------- nn --
 
+/// One kernel table's fp32 GEMM on the shared problem.
+struct GemmArchColumn {
+  const char* arch = "";
+  double gflops = 0;
+  bool identical = false;  ///< bit-equal to GemmNaive on the shared data
+};
+
 struct GemmRow {
   double naive_gflops = 0;
-  double blocked_gflops = 0;
+  double blocked_gflops = 0;  ///< nn::Gemm through the active kernel table
+  bool identical = false;     ///< every supported table bit-equal to naive
+  std::vector<GemmArchColumn> arches;  ///< every supported table, scalar first
 };
 
 GemmRow BenchGemm() {
   // An im2col-shaped problem: m = output pixels, k = patch, n = channels.
   const int m = 1024, k = 288, n = 64;
   std::vector<float> a(std::size_t(m) * k), b(std::size_t(k) * n),
-      c(std::size_t(m) * n);
+      c(std::size_t(m) * n), want(std::size_t(m) * n);
   Rng rng(kSeed);
   for (auto& v : a) v = float(rng.Uniform(-1.0, 1.0));
   for (auto& v : b) v = float(rng.Uniform(-1.0, 1.0));
@@ -265,17 +275,39 @@ GemmRow BenchGemm() {
   const int laps = 24;
   GemmRow row;
   Stopwatch watch;
-  for (int i = 0; i < laps; ++i) nn::GemmNaive(a.data(), b.data(), c.data(), m, k, n);
+  for (int i = 0; i < laps; ++i) nn::GemmNaive(a.data(), b.data(), want.data(), m, k, n);
   row.naive_gflops = flops_per_call * laps / watch.ElapsedSeconds() / 1e9;
   watch.Start();
   for (int i = 0; i < laps; ++i) nn::Gemm(a.data(), b.data(), c.data(), m, k, n);
   row.blocked_gflops = flops_per_call * laps / watch.ElapsedSeconds() / 1e9;
+  row.identical = true;
+  for (const simd::KernelArch arch : simd::CompiledArches()) {
+    if (!simd::ArchSupported(arch)) continue;
+    const simd::KernelTable& table = simd::KernelsFor(arch);
+    GemmArchColumn col;
+    col.arch = table.name;
+    std::fill(c.begin(), c.end(), 0.0f);
+    watch.Start();
+    for (int i = 0; i < laps; ++i) table.gemm_f32(a.data(), b.data(), c.data(), m, k, n);
+    col.gflops = flops_per_call * laps / watch.ElapsedSeconds() / 1e9;
+    col.identical = std::memcmp(c.data(), want.data(), c.size() * sizeof(float)) == 0;
+    row.identical = row.identical && col.identical;
+    row.arches.push_back(col);
+  }
   return row;
 }
+
+/// One backbone layer's wall time at both precisions (nn::ProfileLayers).
+struct ConvLayerRow {
+  std::string name;
+  double fp32_ms = 0;
+  double int8_ms = 0;
+};
 
 struct ConvRow {
   double forward_ms = 0;
   double gflops = 0;  ///< MAC-derived arithmetic throughput of a full forward
+  std::vector<ConvLayerRow> layers;
 };
 
 ConvRow BenchConvForward() {
@@ -296,6 +328,14 @@ ConvRow BenchConvForward() {
   ConvRow row;
   row.forward_ms = seconds * 1e3 / laps;
   row.gflops = 2.0 * double(macs) * laps / seconds / 1e9;
+  // Per-layer split of the same forward, the numbers the split planner
+  // consumes. The int8 warm-up builds the quantized weight caches.
+  (void)net.Forward(input, nn::Precision::kInt8);
+  const auto fp32 = net.ProfileLayers(laps, nn::Precision::kFp32);
+  const auto int8 = net.ProfileLayers(laps, nn::Precision::kInt8);
+  for (std::size_t i = 0; i < fp32.size(); ++i) {
+    row.layers.push_back({fp32[i].name, fp32[i].measured_ms, int8[i].measured_ms});
+  }
   return row;
 }
 
@@ -1133,6 +1173,9 @@ struct Int8InferenceRow {
   double agreement_decidable = 0;  ///< same, decidable frames only
   double worst_flip_margin = 0; ///< largest fp32 margin among flipped frames
   bool agreement_ok = false;    ///< the int8 quantization contract held
+  /// Some int8 embedding differs from its fp32 one: the quantized path ran.
+  /// A silent fp32 fallback makes every embedding identical.
+  bool quantized = false;
 };
 
 Int8InferenceRow BenchInt8Inference() {
@@ -1183,8 +1226,11 @@ Int8InferenceRow BenchInt8Inference() {
   for (const auto& frame : scene.video.frames) {
     const std::vector<float> embedding =
         classifier.Embed(frame, nn::Precision::kFp32);
+    const std::vector<float> int8_embedding =
+        classifier.Embed(frame, nn::Precision::kInt8);
+    row.quantized = row.quantized || int8_embedding != embedding;
     const auto fp32 = classifier.PredictFromEmbedding(embedding);
-    const auto int8 = classifier.Predict(frame, nn::Precision::kInt8);
+    const auto int8 = classifier.PredictFromEmbedding(int8_embedding);
     if (!fp32.ok() || !int8.ok()) {
       ReportScenarioFailure("int8_inference", "prediction failed");
       return row;
@@ -1211,6 +1257,10 @@ Int8InferenceRow BenchInt8Inference() {
   if (!row.agreement_ok) {
     ReportScenarioFailure("int8_inference",
                           "int8/fp32 agreement contract violated");
+  }
+  if (!row.quantized) {
+    ReportScenarioFailure("int8_inference",
+                          "int8 embeddings equal fp32: no quantized pass ran");
   }
   return row;
 }
@@ -1890,15 +1940,24 @@ int main(int argc, char** argv) {
   const GemmRow gemm = Enabled("gemm") ? BenchGemm() : GemmRow{};
   if (Enabled("gemm")) {
     std::printf("gemm 1024x288x64: naive %.2f GFLOP/s | blocked %.2f GFLOP/s "
-                "(%.2fx)\n",
+                "(%.2fx) | identical: %s\n",
                 gemm.naive_gflops, gemm.blocked_gflops,
-                Ratio(gemm.blocked_gflops, gemm.naive_gflops));
+                Ratio(gemm.blocked_gflops, gemm.naive_gflops),
+                gemm.identical ? "yes" : "NO");
+    for (const auto& col : gemm.arches) {
+      std::printf("  %-6s %.2f GFLOP/s | identical: %s\n", col.arch,
+                  col.gflops, col.identical ? "yes" : "NO");
+    }
   }
 
   const ConvRow conv = Enabled("conv") ? BenchConvForward() : ConvRow{};
   if (Enabled("conv")) {
     std::printf("backbone forward (3x96x96): %.2f ms (%.2f GFLOP/s)\n",
                 conv.forward_ms, conv.gflops);
+    for (const auto& layer : conv.layers) {
+      std::printf("  %-20s fp32 %.3f ms | int8 %.3f ms\n", layer.name.c_str(),
+                  layer.fp32_ms, layer.int8_ms);
+    }
   }
 
   const MultiSessionResult multi =
@@ -1979,11 +2038,12 @@ int main(int argc, char** argv) {
   if (Enabled("int8_inference")) {
     std::printf("int8_inference: forward %.2f -> %.2f ms (%.2fx) | agreement "
                 "raw %.1f%% decidable %.1f%% (%zu/%zu frames decidable) | "
-                "worst flip margin %.4f | contract: %s\n",
+                "worst flip margin %.4f | contract: %s | quantized: %s\n",
                 int8.fp32_forward_ms, int8.int8_forward_ms, int8.speedup,
                 int8.agreement_raw * 100.0, int8.agreement_decidable * 100.0,
                 int8.decidable, int8.frames, int8.worst_flip_margin,
-                int8.agreement_ok ? "ok" : "VIOLATED");
+                int8.agreement_ok ? "ok" : "VIOLATED",
+                int8.quantized ? "yes" : "NO");
   }
 
   const PipelinedEncodeRow piped = Enabled("pipelined_encode")
@@ -2102,21 +2162,44 @@ int main(int argc, char** argv) {
                "  \"gemm_1024x288x64\": {\n"
                "    \"naive_gflops\": %.3f,\n"
                "    \"blocked_gflops\": %.3f,\n"
-               "    \"speedup\": %.3f\n"
+               "    \"speedup\": %.3f,\n"
+               "    \"identical\": %s,\n"
+               "    \"arches\": [",
+               kernels.arches.empty() ? "" : "\n",
+               gemm.naive_gflops, gemm.blocked_gflops,
+               Ratio(gemm.blocked_gflops, gemm.naive_gflops),
+               gemm.identical ? "true" : "false");
+  for (std::size_t i = 0; i < gemm.arches.size(); ++i) {
+    const auto& col = gemm.arches[i];
+    std::fprintf(f, "%s\n      {\"arch\": \"%s\", \"gflops\": %.3f, "
+                    "\"identical\": %s}",
+                 i == 0 ? "" : ",", col.arch, col.gflops,
+                 col.identical ? "true" : "false");
+  }
+  std::fprintf(f,
+               "%s    ]\n"
                "  },\n"
                "  \"backbone_forward_3x96x96\": {\n"
                "    \"ms\": %.3f,\n"
-               "    \"gflops\": %.3f\n"
+               "    \"gflops\": %.3f,\n"
+               "    \"layers\": [",
+               gemm.arches.empty() ? "" : "\n", conv.forward_ms, conv.gflops);
+  for (std::size_t i = 0; i < conv.layers.size(); ++i) {
+    const auto& layer = conv.layers[i];
+    std::fprintf(f, "%s\n      {\"name\": \"%s\", \"fp32_ms\": %.4f, "
+                    "\"int8_ms\": %.4f}",
+                 i == 0 ? "" : ",", layer.name.c_str(), layer.fp32_ms,
+                 layer.int8_ms);
+  }
+  std::fprintf(f,
+               "%s    ]\n"
                "  },\n"
                "  \"multi_session\": {\n"
                "    \"sessions\": %zu,\n"
                "    \"frames_total\": %zu,\n"
                "    \"aggregate_fps\": %.2f,\n"
                "    \"stages\": [",
-               kernels.arches.empty() ? "" : "\n",
-               gemm.naive_gflops, gemm.blocked_gflops,
-               Ratio(gemm.blocked_gflops, gemm.naive_gflops),
-               conv.forward_ms, conv.gflops, multi.sessions,
+               conv.layers.empty() ? "" : "\n", multi.sessions,
                multi.frames_total, multi.aggregate_fps);
   for (std::size_t i = 0; i < multi.stages.size(); ++i) {
     const auto& stage = multi.stages[i];
@@ -2224,7 +2307,8 @@ int main(int argc, char** argv) {
                "    \"agreement_decidable\": %.4f,\n"
                "    \"worst_flip_margin\": %.4f,\n"
                "    \"noise_floor\": 0.02,\n"
-               "    \"agreement_ok\": %s\n"
+               "    \"agreement_ok\": %s,\n"
+               "    \"quantized\": %s\n"
                "  },\n"
                "  \"pipelined_encode\": {\n"
                "    \"frames\": %zu,\n"
@@ -2261,7 +2345,8 @@ int main(int argc, char** argv) {
                int8.fp32_forward_ms, int8.int8_forward_ms, int8.speedup,
                int8.frames, int8.decidable, int8.agreement_raw,
                int8.agreement_decidable, int8.worst_flip_margin,
-               int8.agreement_ok ? "true" : "false", piped.frames,
+               int8.agreement_ok ? "true" : "false",
+               int8.quantized ? "true" : "false", piped.frames,
                piped.parallel_fps, piped.pipelined_fps, piped.speedup,
                piped.multicore ? "true" : "false",
                piped.bit_identical ? "true" : "false", trace.frames,

@@ -1,7 +1,7 @@
 // Scalar reference kernels + the dispatch machinery. This TU (like all of
 // sieve_core) is compiled with -ffp-contract=off: the bit-exactness contract
-// across scalar/SSE2/NEON depends on no mul+add pair being contracted into an
-// FMA on either side.
+// across scalar/SSE2/AVX2/NEON depends on no mul+add pair being contracted
+// into an FMA on either side.
 #include "common/simd/kernels.h"
 
 #include <atomic>
@@ -179,10 +179,30 @@ void QuantizeActU8Scalar(const float* x, std::size_t len, float inv_scale,
   }
 }
 
+// ------------------------------------------------------ scalar fp32 GEMM --
+
+// The reference semantics for gemm_f32: ikj order, so each c[i][j] starts
+// at +0.0f and takes a[i][p] * b[p][j] for p ascending, one rounded
+// multiply and one rounded add per term. No zero-skipping: a skipped
+// 0 * inf would hide the NaN every other table produces.
+void GemmF32Scalar(const float* a, const float* b, float* c, int m, int k,
+                   int n) {
+  for (int i = 0; i < m; ++i) {
+    float* crow = c + std::ptrdiff_t(i) * n;
+    const float* arow = a + std::ptrdiff_t(i) * k;
+    for (int j = 0; j < n; ++j) crow[j] = 0.0f;
+    for (int p = 0; p < k; ++p) {
+      const float av = arow[p];
+      const float* brow = b + std::ptrdiff_t(p) * n;
+      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
 const KernelTable kScalarTable = {
     "scalar",        SadRowScalar,      Sad16xHScalar,      SadBoundedScalar,
     Fdct8x8Scalar,   Idct8x8Scalar,     Quantize8x8Scalar,  Dequantize8x8Scalar,
-    GemmU8S8Scalar,  QuantizeActU8Scalar,
+    GemmU8S8Scalar,  QuantizeActU8Scalar, GemmF32Scalar,
 };
 
 // --------------------------------------------------------------- dispatch --

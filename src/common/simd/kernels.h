@@ -1,6 +1,7 @@
-// SIMD kernel layer: runtime-dispatched implementations of the codec's
-// innermost loops — block SAD and the 8x8 DCT/IDCT + quantizer pair that
-// profiling puts at the top of a motion-heavy encode.
+// SIMD kernel layer: runtime-dispatched implementations of the innermost
+// loops — block SAD and the 8x8 DCT/IDCT + quantizer pair that profiling
+// puts at the top of a motion-heavy encode, and the int8 and fp32 GEMMs
+// under every NN conv.
 //
 // Design rules (the whole point of this layer):
 //
@@ -21,8 +22,8 @@
 //    SetActiveKernels() overrides it for tests and tools.
 //
 //  * This layer sits at the bottom of the dependency graph (raw pointers and
-//    strides only, no media/codec types) so media/ and codec/ can both call
-//    it.
+//    strides only, no media/codec/nn types) so media/, codec/ and nn/ can
+//    all call it.
 //
 // See docs/perf.md ("The SIMD kernel layer") for how to add a kernel.
 #pragma once
@@ -101,6 +102,16 @@ struct KernelTable {
   /// codes. Inputs must be finite.
   void (*quantize_act_u8)(const float* x, std::size_t len, float inv_scale,
                           float bias, std::uint8_t* out);
+
+  /// fp32 GEMM: c = a(m x k) * b(k x n), all row-major and densely packed
+  /// (lda = k, ldb = ldc = n); c is fully overwritten. Each output element
+  /// is the k-ascending sum c[i][j] = ((+0.0f + a[i][0]*b[0][j]) +
+  /// a[i][1]*b[1][j]) + ..., every product and every partial sum rounded to
+  /// float (separate multiply and add, never FMA). Tables may tile m, n and
+  /// k however they like but never reorder or split one element's sum, so
+  /// every table returns identical bits.
+  void (*gemm_f32)(const float* a, const float* b, float* c, int m, int k,
+                   int n);
 };
 
 enum class KernelArch { kScalar, kSse2, kAvx2, kNeon };

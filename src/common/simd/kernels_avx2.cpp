@@ -12,6 +12,8 @@
 //    compare as the SSE2 LroundPs, on 8 lanes.
 //  * The int8 GEMM widens u8/s8 operands to i16 and uses _mm256_madd_epi16
 //    (exact for these magnitudes) — never the saturating vpmaddubsw.
+//  * The fp32 GEMM is a 6x16 register tile that vectorizes across output
+//    columns and keeps each element's k-ascending mul-then-add order.
 //
 // The TU is compiled with -mavx2 on x86 (see CMakeLists.txt); dispatch is
 // CPUID-verified so the kernels never execute on a core without AVX2.
@@ -472,10 +474,106 @@ void QuantizeActU8Avx2(const float* x, std::size_t len, float inv_scale,
   }
 }
 
+// -------------------------------------------------------------- fp32 GEMM --
+
+// The register-tiled microkernel (Goto & van de Geijn, "Anatomy of
+// High-Performance Matrix Multiplication", TOMS 2008): a 6 x 16 tile of c
+// lives in twelve ymm accumulators for the whole k loop. Each k step loads
+// two 8-float vectors of one b row, broadcasts one a element per tile row,
+// and issues a separate _mm256_mul_ps + _mm256_add_ps per accumulator —
+// never fmadd — so every lane is the scalar reference's k-ascending sum
+// from +0.0f. Column tails run the same tile on masked loads/stores (masked
+// lanes are never stored); row tails instantiate it with fewer rows. The
+// 16-column b panel (k x 64 bytes) stays cache-resident across the row
+// sweep.
+
+constexpr int kGemmMr = 6;
+constexpr int kGemmNr = 16;
+
+/// All-ones in lanes [0, lanes), clamped to [0, 8] lanes.
+inline __m256i LaneMask(int lanes) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+template <int kRows, bool kFull>
+inline void GemmF32TileAvx2(const float* a, const float* b, float* c, int k,
+                            int n, __m256i mask0, __m256i mask1) {
+  __m256 acc0[kRows];
+  __m256 acc1[kRows];
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+    acc0[r] = _mm256_setzero_ps();
+    acc1[r] = _mm256_setzero_ps();
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* brow = b + std::ptrdiff_t(p) * n;
+    __m256 b0, b1;
+    if constexpr (kFull) {
+      b0 = _mm256_loadu_ps(brow);
+      b1 = _mm256_loadu_ps(brow + 8);
+    } else {
+      b0 = _mm256_maskload_ps(brow, mask0);
+      b1 = _mm256_maskload_ps(brow + 8, mask1);
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 av = _mm256_broadcast_ss(a + std::ptrdiff_t(r) * k + p);
+      acc0[r] = _mm256_add_ps(acc0[r], _mm256_mul_ps(av, b0));
+      acc1[r] = _mm256_add_ps(acc1[r], _mm256_mul_ps(av, b1));
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+    float* crow = c + std::ptrdiff_t(r) * n;
+    if constexpr (kFull) {
+      _mm256_storeu_ps(crow, acc0[r]);
+      _mm256_storeu_ps(crow + 8, acc1[r]);
+    } else {
+      _mm256_maskstore_ps(crow, mask0, acc0[r]);
+      _mm256_maskstore_ps(crow + 8, mask1, acc1[r]);
+    }
+  }
+}
+
+template <int kRows>
+inline void GemmF32RowsAvx2(const float* a, const float* b, float* c, int k,
+                            int n, int cols) {
+  if (cols == kGemmNr) {
+    const __m256i all = _mm256_set1_epi32(-1);
+    GemmF32TileAvx2<kRows, true>(a, b, c, k, n, all, all);
+  } else {
+    GemmF32TileAvx2<kRows, false>(a, b, c, k, n, LaneMask(cols),
+                                  LaneMask(cols - 8));
+  }
+}
+
+void GemmF32Avx2(const float* a, const float* b, float* c, int m, int k,
+                 int n) {
+  for (int jj = 0; jj < n; jj += kGemmNr) {
+    const int cols = n - jj < kGemmNr ? n - jj : kGemmNr;
+    int ii = 0;
+    for (; ii + kGemmMr <= m; ii += kGemmMr) {
+      GemmF32RowsAvx2<kGemmMr>(a + std::ptrdiff_t(ii) * k, b + jj,
+                               c + std::ptrdiff_t(ii) * n + jj, k, n, cols);
+    }
+    const float* at = a + std::ptrdiff_t(ii) * k;
+    float* ct = c + std::ptrdiff_t(ii) * n + jj;
+    switch (m - ii) {
+      case 5: GemmF32RowsAvx2<5>(at, b + jj, ct, k, n, cols); break;
+      case 4: GemmF32RowsAvx2<4>(at, b + jj, ct, k, n, cols); break;
+      case 3: GemmF32RowsAvx2<3>(at, b + jj, ct, k, n, cols); break;
+      case 2: GemmF32RowsAvx2<2>(at, b + jj, ct, k, n, cols); break;
+      case 1: GemmF32RowsAvx2<1>(at, b + jj, ct, k, n, cols); break;
+      default: break;
+    }
+  }
+}
+
 const KernelTable kAvx2Table = {
     "avx2",        SadRowAvx2,      Sad16xHAvx2,      SadBoundedAvx2,
     Fdct8x8Avx2,   Idct8x8Avx2,     Quantize8x8Avx2,  Dequantize8x8Avx2,
-    GemmU8S8Avx2,  QuantizeActU8Avx2,
+    GemmU8S8Avx2,  QuantizeActU8Avx2, GemmF32Avx2,
 };
 
 }  // namespace

@@ -3,6 +3,7 @@
 // scalar order, and use only separate vmulq_f32/vaddq_f32 (never vmlaq/fmla,
 // which would fuse without the intermediate rounding the scalar path has).
 // Rounding replicates std::lround via truncate + exact-fraction compare.
+// The fp32 GEMM is the portable blocked loop (kernels_internal.h).
 //
 // Compiled only under __ARM_NEON; elsewhere the accessor returns nullptr and
 // the dispatcher falls back to scalar.
@@ -341,7 +342,7 @@ void QuantizeActU8Neon(const float* x, std::size_t len, float inv_scale,
 const KernelTable kNeonTable = {
     "neon",        SadRowNeon,      Sad16xHNeon,      SadBoundedNeon,
     Fdct8x8Neon,   Idct8x8Neon,     Quantize8x8Neon,  Dequantize8x8Neon,
-    GemmU8S8Neon,  QuantizeActU8Neon,
+    GemmU8S8Neon,  QuantizeActU8Neon, GemmF32Blocked,
 };
 
 }  // namespace

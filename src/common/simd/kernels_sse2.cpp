@@ -10,6 +10,8 @@
 //    truncate + exact-fraction compare: for |v| < 2^23 both v and trunc(v)
 //    are exactly representable and their difference is exact, so the
 //    |frac| >= 0.5 test reproduces lround on the true float value.
+//  * The fp32 GEMM is the portable blocked loop (kernels_internal.h), which
+//    the compiler vectorizes to SSE2 across output columns in this TU.
 //
 // Compiled only where SSE2 exists; elsewhere the accessor returns nullptr
 // and the dispatcher falls back to scalar.
@@ -363,7 +365,7 @@ void QuantizeActU8Sse2(const float* x, std::size_t len, float inv_scale,
 const KernelTable kSse2Table = {
     "sse2",        SadRowSse2,      Sad16xHSse2,      SadBoundedSse2,
     Fdct8x8Sse2,   Idct8x8Sse2,     Quantize8x8Sse2,  Dequantize8x8Sse2,
-    GemmU8S8Sse2,  QuantizeActU8Sse2,
+    GemmU8S8Sse2,  QuantizeActU8Sse2, GemmF32Blocked,
 };
 
 }  // namespace

@@ -1,9 +1,11 @@
 #include "nn/classifier.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "media/image_ops.h"
+#include "runtime/executor.h"
 
 namespace sieve::nn {
 
@@ -35,6 +37,17 @@ std::vector<float> FrameClassifier::Embed(const media::Frame& frame,
   return network_.Forward(InputTensor(frame), precision).values();
 }
 
+std::vector<std::vector<float>> FrameClassifier::EmbedEvery(
+    const std::vector<media::Frame>& frames, std::size_t count,
+    std::size_t stride, Precision precision) const {
+  std::vector<std::vector<float>> embeddings((count + stride - 1) / stride);
+  runtime::SharedExecutor().ParallelFor(
+      embeddings.size(), [&](std::size_t j) {
+        embeddings[j] = Embed(frames[j * stride], precision);
+      });
+  return embeddings;
+}
+
 Status FrameClassifier::Fit(const std::vector<media::Frame>& frames,
                             const synth::GroundTruth& truth,
                             std::size_t stride) {
@@ -44,11 +57,15 @@ Status FrameClassifier::Fit(const std::vector<media::Frame>& frames,
   if (frames.empty()) return Status::Invalid("Fit: no training frames");
   stride = std::max<std::size_t>(1, stride);
 
+  const std::vector<std::vector<float>> embeddings =
+      EmbedEvery(frames, frames.size(), stride, Precision::kFp32);
+  // Summed serially in frame order: the centroids are the same floats
+  // whichever thread embedded which frame.
   std::map<std::uint8_t, std::vector<float>> sums;
   std::map<std::uint8_t, std::size_t> counts;
-  for (std::size_t i = 0; i < frames.size(); i += stride) {
-    const std::vector<float> embedding = Embed(frames[i]);
-    const std::uint8_t key = truth.label(i).bits();
+  for (std::size_t j = 0; j < embeddings.size(); ++j) {
+    const std::vector<float>& embedding = embeddings[j];
+    const std::uint8_t key = truth.label(j * stride).bits();
     auto [it, inserted] = sums.try_emplace(key, embedding.size(), 0.0f);
     for (std::size_t d = 0; d < embedding.size(); ++d) {
       it->second[d] += embedding[d];
@@ -130,14 +147,16 @@ double FrameClassifier::Evaluate(const std::vector<media::Frame>& frames,
                                  std::size_t stride,
                                  Precision precision) const {
   stride = std::max<std::size_t>(1, stride);
-  std::size_t total = 0, correct = 0;
-  for (std::size_t i = 0; i < frames.size() && i < truth.frame_count();
-       i += stride) {
-    auto predicted = Predict(frames[i], precision);
-    if (predicted.ok() && *predicted == truth.label(i)) ++correct;
-    ++total;
+  const std::vector<std::vector<float>> embeddings = EmbedEvery(
+      frames, std::min(frames.size(), truth.frame_count()), stride, precision);
+  std::size_t correct = 0;
+  for (std::size_t j = 0; j < embeddings.size(); ++j) {
+    auto predicted = PredictFromEmbedding(embeddings[j]);
+    if (predicted.ok() && *predicted == truth.label(j * stride)) ++correct;
   }
-  return total > 0 ? double(correct) / double(total) : 0.0;
+  return embeddings.empty()
+             ? 0.0
+             : double(correct) / double(embeddings.size());
 }
 
 }  // namespace sieve::nn

@@ -35,6 +35,14 @@ struct ClassifierParams {
 /// network and centroids (conv scratch is thread-local inside the layers),
 /// so one instance may serve every runtime session concurrently. Fit() is a
 /// mutation and must not race with predictions.
+///
+/// Fit and Evaluate embed their frames in parallel on
+/// runtime::SharedExecutor() (one ParallelFor over the sampled frames, into
+/// an index-addressed vector) and then reduce serially in frame order, so
+/// their results are bit-identical to a one-thread run. Neither may be
+/// called from a SharedExecutor task: ParallelFor's caller waits without
+/// helping to run tasks, so a pool worker blocking on it can deadlock the
+/// pool.
 class FrameClassifier {
  public:
   explicit FrameClassifier(ClassifierParams params = {});
@@ -83,7 +91,10 @@ class FrameClassifier {
       Precision precision = Precision::kFp32) const;
 
   /// Calibrate centroids from labelled frames. `stride` subsamples the
-  /// training video (every stride-th frame) to bound calibration cost.
+  /// training video (every stride-th frame) to bound calibration cost. The
+  /// frames are embedded in parallel on SharedExecutor() (see the class
+  /// comment: never call this from a SharedExecutor task); each centroid is
+  /// the frame-order mean, the same floats at any thread count.
   Status Fit(const std::vector<media::Frame>& frames,
              const synth::GroundTruth& truth, std::size_t stride = 10);
 
@@ -100,11 +111,18 @@ class FrameClassifier {
   const Network& network() const noexcept { return network_; }
 
   /// Classification accuracy over a labelled video (every stride-th frame).
+  /// Embeds on SharedExecutor() like Fit, with the same restriction.
   double Evaluate(const std::vector<media::Frame>& frames,
                   const synth::GroundTruth& truth, std::size_t stride = 10,
                   Precision precision = Precision::kFp32) const;
 
  private:
+  /// Embeddings of frames 0, stride, 2*stride, ... below `count`, computed
+  /// on SharedExecutor(); element j is frame j * stride.
+  std::vector<std::vector<float>> EmbedEvery(
+      const std::vector<media::Frame>& frames, std::size_t count,
+      std::size_t stride, Precision precision) const;
+
   ClassifierParams params_;
   Network network_;
   std::map<std::uint8_t, std::vector<float>> centroids_;  // label bits -> centroid

@@ -19,6 +19,22 @@ void HeInit(std::vector<float>& w, std::size_t fan_in, Rng& rng) {
   for (auto& v : w) v = float(rng.Gaussian(0.0, stddev));
 }
 
+/// The fp32 conv scratch: im2col rows and the GEMM output. Thread-local, so
+/// it persists across calls (steady-state inference never allocates) yet
+/// keeps concurrent calls on one shared instance race-free, which is what
+/// lets every runtime session share a classifier. Forward and ForwardBatch
+/// share it, so a thread holds one copy sized by the largest layer it ran,
+/// whatever mix of batch sizes reached it.
+struct ConvScratch {
+  std::vector<float> cols;
+  std::vector<float> gemm_out;
+};
+
+ConvScratch& ThreadConvScratch() {
+  static thread_local ConvScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int stride,
@@ -127,12 +143,8 @@ Tensor Conv2D::Forward(const Tensor& input) const {
     if (wt_dirty_.load(std::memory_order_relaxed)) RebuildTransposedWeights();
   }
 
-  // im2col: rows = output pixels, cols = receptive-field patch. The scratch
-  // is thread-local — it persists across calls (steady-state inference never
-  // allocates) yet keeps concurrent Forward calls on one shared instance
-  // race-free, which is what lets every runtime session share a classifier.
-  static thread_local std::vector<float> cols;
-  static thread_local std::vector<float> gemm_out;
+  // im2col: rows = output pixels, cols = receptive-field patch.
+  auto& [cols, gemm_out] = ThreadConvScratch();
   cols.resize(std::size_t(oh) * std::size_t(ow) * patch);
   Im2Col(input, out_shape, cols.data());
 
@@ -180,8 +192,7 @@ void Conv2D::ForwardBatch(std::vector<Tensor>& batch) const {
   const std::size_t chunk_samples = std::min(
       b, std::max<std::size_t>(1, kColsBudgetBytes / std::max<std::size_t>(
                                       1, sample_cols_bytes)));
-  static thread_local std::vector<float> cols;
-  static thread_local std::vector<float> gemm_out;
+  auto& [cols, gemm_out] = ThreadConvScratch();
   cols.resize(chunk_samples * hw * patch);
   gemm_out.resize(chunk_samples * hw * std::size_t(out_c_));
   for (std::size_t base = 0; base < b; base += chunk_samples) {

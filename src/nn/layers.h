@@ -68,8 +68,9 @@ class Layer {
 /// 2D convolution, square kernel, same dilation 1, zero padding `pad`.
 ///
 /// Forward is const-thread-safe: the im2col / GEMM scratch lives in
-/// thread-local buffers (steady-state inference never allocates, and any
-/// number of threads may share one instance), and the lazily rebuilt
+/// thread-local buffers that Forward and ForwardBatch share (steady-state
+/// inference never allocates, and any number of threads may share one
+/// instance), and the lazily rebuilt
 /// transposed-weight cache is guarded by an internal mutex. Weight
 /// *mutation* (weights()/bias()) is not synchronized — do not mutate
 /// concurrently with Forward.

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/bytes.h"
+#include "common/simd/kernels.h"
 
 namespace sieve::nn {
 
@@ -104,80 +105,8 @@ Expected<Tensor> DeserializeTensor(std::span<const std::uint8_t> bytes) {
   return tensor;
 }
 
-namespace {
-
-// Blocking parameters. The microkernel holds an kMr x kNr accumulator tile
-// in registers (gcc vectorizes the kNr loop); kKc bounds the K panel so the
-// B rows a tile streams through stay cache-resident across the i sweep.
-constexpr int kMr = 4;
-constexpr int kNr = 16;
-constexpr int kKc = 256;
-
-/// Full kMr x kNr tile: accumulate C[ii..ii+kMr) x [jj..jj+kNr) over
-/// K panel [pp, pe).
-inline void MicroKernel(const float* a, const float* b, float* c, int k, int n,
-                        int ii, int jj, int pp, int pe) {
-  float acc[kMr][kNr];
-  for (int r = 0; r < kMr; ++r) {
-    const float* crow = c + std::size_t(ii + r) * std::size_t(n) + jj;
-    for (int s = 0; s < kNr; ++s) acc[r][s] = crow[s];
-  }
-  for (int p = pp; p < pe; ++p) {
-    const float* brow = b + std::size_t(p) * std::size_t(n) + jj;
-    const float a0 = a[std::size_t(ii + 0) * std::size_t(k) + std::size_t(p)];
-    const float a1 = a[std::size_t(ii + 1) * std::size_t(k) + std::size_t(p)];
-    const float a2 = a[std::size_t(ii + 2) * std::size_t(k) + std::size_t(p)];
-    const float a3 = a[std::size_t(ii + 3) * std::size_t(k) + std::size_t(p)];
-    for (int s = 0; s < kNr; ++s) {
-      const float bv = brow[s];
-      acc[0][s] += a0 * bv;
-      acc[1][s] += a1 * bv;
-      acc[2][s] += a2 * bv;
-      acc[3][s] += a3 * bv;
-    }
-  }
-  for (int r = 0; r < kMr; ++r) {
-    float* crow = c + std::size_t(ii + r) * std::size_t(n) + jj;
-    for (int s = 0; s < kNr; ++s) crow[s] = acc[r][s];
-  }
-}
-
-/// Ragged edge tile (mr < kMr and/or nr < kNr).
-inline void MicroKernelEdge(const float* a, const float* b, float* c, int k,
-                            int n, int ii, int jj, int pp, int pe, int mr,
-                            int nr) {
-  for (int r = 0; r < mr; ++r) {
-    float* crow = c + std::size_t(ii + r) * std::size_t(n) + jj;
-    const float* arow = a + std::size_t(ii + r) * std::size_t(k);
-    for (int p = pp; p < pe; ++p) {
-      const float av = arow[p];
-      const float* brow = b + std::size_t(p) * std::size_t(n) + jj;
-      for (int s = 0; s < nr; ++s) crow[s] += av * brow[s];
-    }
-  }
-}
-
-}  // namespace
-
 void Gemm(const float* a, const float* b, float* c, int m, int k, int n) {
-  for (int i = 0; i < m; ++i) {
-    float* crow = c + std::size_t(i) * std::size_t(n);
-    for (int j = 0; j < n; ++j) crow[j] = 0.0f;
-  }
-  for (int pp = 0; pp < k; pp += kKc) {
-    const int pe = std::min(k, pp + kKc);
-    for (int jj = 0; jj < n; jj += kNr) {
-      const int nr = std::min(kNr, n - jj);
-      for (int ii = 0; ii < m; ii += kMr) {
-        const int mr = std::min(kMr, m - ii);
-        if (mr == kMr && nr == kNr) {
-          MicroKernel(a, b, c, k, n, ii, jj, pp, pe);
-        } else {
-          MicroKernelEdge(a, b, c, k, n, ii, jj, pp, pe, mr, nr);
-        }
-      }
-    }
-  }
+  simd::ActiveKernels().gemm_f32(a, b, c, m, k, n);
 }
 
 void GemmNaive(const float* a, const float* b, float* c, int m, int k, int n) {

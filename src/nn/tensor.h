@@ -67,13 +67,17 @@ std::vector<std::uint8_t> SerializeTensor(const Tensor& tensor);
 /// shape/payload size mismatches with kCorruptData.
 Expected<Tensor> DeserializeTensor(std::span<const std::uint8_t> bytes);
 
-/// C = A(MxK) * B(KxN) written into a caller-provided row-major buffer.
-/// Cache-blocked with a register-tiled microkernel; matches GemmNaive to
-/// float rounding (identical k-ascending accumulation order per element).
+/// C = A(MxK) * B(KxN) written into a caller-provided row-major buffer,
+/// dispatched through simd::ActiveKernels().gemm_f32 (the AVX2 table runs a
+/// 6x16 register-tiled microkernel). Every element is the same k-ascending
+/// mul-then-add sum on every table, so the result is bit-identical to
+/// GemmNaive for finite inputs, whatever the table and whatever M (which is
+/// what lets batched and per-frame conv passes agree).
 void Gemm(const float* a, const float* b, float* c, int m, int k, int n);
 
 /// The straightforward ikj-order GEMM kept as the correctness reference for
-/// the blocked kernel (equivalence tests, benchmark baseline).
+/// Gemm (equivalence tests, benchmark baseline). It skips zero A entries,
+/// which changes nothing for finite B.
 void GemmNaive(const float* a, const float* b, float* c, int m, int k, int n);
 
 /// Euclidean distance squared between two equal-length float vectors.

@@ -59,10 +59,23 @@ double CalibrateThreshold(const std::vector<double>& signal,
   const std::size_t extra = target_count - 1;
   if (extra >= sorted.size()) return -1.0;  // select everything
   // Threshold strictly between the k-th and (k+1)-th largest -> exactly k
-  // selections (when values are distinct).
-  return sorted[extra - 1] == sorted[extra]
-             ? sorted[extra]
-             : (sorted[extra - 1] + sorted[extra]) / 2.0;
+  // selections.
+  const double tied = sorted[extra - 1];
+  if (tied != sorted[extra]) return (tied + sorted[extra]) / 2.0;
+  // A run of equal values straddles the cut, so no threshold selects
+  // exactly k: `above` values lie strictly above the run (fewer than k) and
+  // `through` values reach its end (more than k). `above` is 0 when the run
+  // tops the signal, so always taking it would select nothing. Take the
+  // nearer count; on a draw the smaller one, within budget.
+  const std::size_t above = std::size_t(
+      std::lower_bound(sorted.begin(), sorted.end(), tied, std::greater<>()) -
+      sorted.begin());
+  const std::size_t through = std::size_t(
+      std::upper_bound(sorted.begin(), sorted.end(), tied, std::greater<>()) -
+      sorted.begin());
+  if (extra - above <= through - extra) return tied;  // selects `above`
+  if (through == sorted.size()) return -1.0;          // select everything
+  return (tied + sorted[through]) / 2.0;               // selects `through`
 }
 
 }  // namespace sieve::vision

@@ -52,9 +52,13 @@ class SiftSignal {
 std::vector<std::size_t> SelectByThreshold(const std::vector<double>& signal,
                                            double threshold);
 
-/// Smallest threshold whose selection count is <= target_count (monotone in
-/// the threshold); i.e. the tightest threshold achieving the target sampling
-/// rate. Returns +inf when even the max signal selects too many frames.
+/// The threshold whose SelectByThreshold count is as close as possible to
+/// target_count: exactly target_count when the signal values around the cut
+/// are distinct. When a run of equal values straddles the cut, the nearer of
+/// the two reachable counts (all of the run or none of it) wins, the smaller
+/// on a draw. Returns +inf when target_count <= 1 (frame 0 alone) and a
+/// select-everything threshold when the target covers every frame; signals
+/// are non-negative.
 double CalibrateThreshold(const std::vector<double>& signal,
                           std::size_t target_count);
 

@@ -1,16 +1,17 @@
 // Scalar-vs-SIMD kernel equivalence: every architecture compiled into this
 // binary must be BIT-exact with the scalar reference table — float DCT/IDCT
 // outputs, lround rounding (half away from zero, including exact .5
-// quotients), SAD over unaligned widths and strides, and the row-granular
-// early-termination values of the bounded SAD. Plus the dispatch machinery
-// itself and the clamped out-of-bounds compensation path the region helpers
-// guard.
+// quotients), SAD over unaligned widths and strides, the row-granular
+// early-termination values of the bounded SAD, and the fp32 GEMM on ragged
+// shapes. Plus the dispatch machinery itself and the clamped out-of-bounds
+// compensation path the region helpers guard.
 #include "common/simd/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "codec/transform.h"
@@ -240,6 +241,64 @@ TEST(KernelEquivalence, Sad16xHAndBoundedRowGranularValues) {
         }
       }
     }
+  }
+}
+
+// --------------------------------------------------------------- fp32 GEMM --
+
+std::vector<float> RunGemmF32(const KernelTable& table,
+                              const std::vector<float>& a,
+                              const std::vector<float>& b, int m, int k,
+                              int n) {
+  // Pre-filled with NaN: every table must overwrite all of c.
+  std::vector<float> c(std::size_t(m) * n, std::nanf(""));
+  table.gemm_f32(a.data(), b.data(), c.data(), m, k, n);
+  return c;
+}
+
+TEST(KernelEquivalence, GemmF32BitExactOnRaggedShapes) {
+  const KernelTable& scalar = KernelsFor(KernelArch::kScalar);
+  // m around the 6-row (AVX2) and 4-row (blocked) tiles, n around the
+  // 16-column tile and the 8-lane vector, k = 1 and k past the 256 panel,
+  // plus the backbone's conv shapes.
+  const int shapes[][3] = {
+      {1, 1, 1},    {5, 1, 17},    {7, 1, 3},      {6, 16, 16},
+      {11, 27, 16}, {13, 257, 33}, {17, 300, 40},  {4, 512, 15},
+      {25, 31, 9},  {2, 600, 7},   {6, 7, 8},      {64, 144, 32},
+      {144, 576, 64}};
+  Rng rng(108);
+  for (const auto& s : shapes) {
+    const int m = s[0], k = s[1], n = s[2];
+    std::vector<float> a(std::size_t(m) * k), b(std::size_t(k) * n);
+    for (auto& v : a) v = float(rng.Uniform(-2.0, 2.0));
+    for (auto& v : b) v = float(rng.Uniform(-2.0, 2.0));
+    // Exact zeros mixed in, like post-ReLU activations.
+    for (std::size_t i = 0; i < a.size(); i += 5) a[i] = 0.0f;
+    const std::vector<float> want = RunGemmF32(scalar, a, b, m, k, n);
+    for (KernelArch arch : SimdArches()) {
+      const std::vector<float> got = RunGemmF32(KernelsFor(arch), a, b, m, k, n);
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * 4), 0)
+          << KernelArchName(arch) << " m=" << m << " k=" << k << " n=" << n;
+    }
+  }
+}
+
+TEST(KernelEquivalence, GemmF32SumsFromPositiveZeroWithoutSkipping) {
+  // Every product is -0: the sum starts at +0.0f, and +0 + -0 = +0.
+  const std::vector<float> a = {-1.0f, -2.0f, 3.0f};
+  const std::vector<float> b = {0.0f, 0.0f, -0.0f};
+  // 0 * inf is NaN: no table may skip a zero a entry.
+  const std::vector<float> a_inf = {0.0f, 1.0f};
+  const std::vector<float> b_inf = {std::numeric_limits<float>::infinity(),
+                                    1.0f};
+  for (KernelArch arch : CompiledArches()) {
+    if (!ArchSupported(arch)) continue;
+    const KernelTable& table = KernelsFor(arch);
+    const std::vector<float> zero = RunGemmF32(table, a, b, 1, 3, 1);
+    EXPECT_EQ(zero[0], 0.0f) << KernelArchName(arch);
+    EXPECT_FALSE(std::signbit(zero[0])) << KernelArchName(arch);
+    const std::vector<float> nan = RunGemmF32(table, a_inf, b_inf, 1, 2, 1);
+    EXPECT_TRUE(std::isnan(nan[0])) << KernelArchName(arch);
   }
 }
 

@@ -1,9 +1,12 @@
-// Optimization-equivalence tests for the NN hot path: blocked GEMM vs the
-// naive reference on randomized shapes, the Conv2D transposed-weight cache
+// Optimization-equivalence tests for the NN hot path: the dispatched GEMM
+// vs the naive reference on randomized shapes (bit for bit, under whichever
+// kernel table is active), the Conv2D transposed-weight cache
 // (including invalidation on mutation), and in-place element-wise layers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,18 +31,20 @@ TEST(GemmBlocked, MatchesNaiveOnRandomizedShapes) {
     Gemm(a.data(), b.data(), c_blocked.data(), m, k, n);
     GemmNaive(a.data(), b.data(), c_naive.data(), m, k, n);
     for (std::size_t i = 0; i < c_naive.size(); ++i) {
-      ASSERT_NEAR(c_blocked[i], c_naive[i], 1e-4)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(c_blocked[i]),
+                std::bit_cast<std::uint32_t>(c_naive[i]))
           << "m=" << m << " k=" << k << " n=" << n << " i=" << i;
     }
   }
 }
 
 TEST(GemmBlocked, MicrokernelBoundaryShapes) {
-  // Exercise exact multiples and off-by-one around the 4x16 tile and the
-  // K panel size.
+  // Exercise exact multiples and off-by-one around the 6x16 (AVX2) and
+  // 4x16 (blocked) tiles and the blocked loop's K panel size.
   const int shapes[][3] = {{4, 16, 16},  {5, 17, 17},  {3, 15, 15},
                            {8, 256, 32}, {9, 257, 33}, {1, 1, 1},
-                           {4, 512, 16}, {64, 300, 48}};
+                           {4, 512, 16}, {64, 300, 48}, {6, 16, 16},
+                           {7, 16, 17},  {12, 8, 24}};
   Rng rng(78);
   for (const auto& s : shapes) {
     const int m = s[0], k = s[1], n = s[2];
@@ -50,8 +55,9 @@ TEST(GemmBlocked, MicrokernelBoundaryShapes) {
     Gemm(a.data(), b.data(), c_blocked.data(), m, k, n);
     GemmNaive(a.data(), b.data(), c_naive.data(), m, k, n);
     for (std::size_t i = 0; i < c_naive.size(); ++i) {
-      ASSERT_NEAR(c_blocked[i], c_naive[i], 1e-4)
-          << "m=" << m << " k=" << k << " n=" << n;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(c_blocked[i]),
+                std::bit_cast<std::uint32_t>(c_naive[i]))
+          << "m=" << m << " k=" << k << " n=" << n << " i=" << i;
     }
   }
 }

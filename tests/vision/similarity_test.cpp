@@ -121,6 +121,29 @@ TEST(CalibrateThreshold, HugeTargetSelectsEverything) {
   EXPECT_EQ(SelectByThreshold(signal, t).size(), 4u);
 }
 
+TEST(CalibrateThreshold, PlateauAtTheTopStillSelects) {
+  // Three frames tie for the largest change. A target of 3 (frame 0 plus
+  // two) cuts through the plateau: none of it is 2 away from the target,
+  // all of it 1 away, so all three are selected instead of none.
+  const std::vector<double> signal{0.0, 7.0, 1.0, 7.0, 2.0, 7.0, 0.5};
+  const double t = CalibrateThreshold(signal, 3);
+  const auto sel = SelectByThreshold(signal, t);
+  EXPECT_EQ(sel, (std::vector<std::size_t>{0, 1, 3, 5}));
+}
+
+TEST(CalibrateThreshold, PlateauCountIsNearestToTarget) {
+  // Sorted tail: 9, 4, 4, 4, 4, 1. For every budget the selection count is
+  // the reachable count (1, 5 or 6 extra frames) nearest to target - 1,
+  // the smaller one on a draw.
+  const std::vector<double> signal{0.0, 4.0, 9.0, 4.0, 1.0, 4.0, 4.0};
+  const std::size_t want_extra[] = {0, 1, 1, 1, 5, 5, 6};
+  for (std::size_t target = 1; target <= 7; ++target) {
+    const double t = CalibrateThreshold(signal, target);
+    EXPECT_EQ(SelectByThreshold(signal, t).size(), 1 + want_extra[target - 1])
+        << "target " << target;
+  }
+}
+
 TEST(CalibrateThreshold, EmptySignalIsSafe) {
   EXPECT_EQ(CalibrateThreshold({}, 5), 0.0);
 }
