@@ -995,7 +995,7 @@ WanChaosResult BenchWanChaos() {
 struct FleetScaleRow {
   std::size_t sessions = 0;
   std::size_t frames_total = 0;     ///< per leg (both legs push the same)
-  double unbatched_fps = 0;         ///< per-frame cloud serving
+  double unbatched_fps = 0;         ///< size-1 flushes (cloud_batch_max 1)
   double batched_fps = 0;           ///< cross-session batcher on
   double unbatched_p99_ms = 0;      ///< worst per-camera delivered p99
   double batched_p99_ms = 0;
@@ -1014,11 +1014,11 @@ struct FleetScaleResult {
 
 FleetScaleResult BenchFleetScale() {
   // The fleet knee: N concurrent sessions stream one pre-encoded feed
-  // through one runtime, once with per-frame cloud serving and once with
-  // the cross-session InferenceBatcher, at identical stage parallelism —
-  // the only delta is the batch. Sweeping N exposes where per-frame serving
-  // saturates the cloud stage while batches keep amortizing, and the dbs
-  // must stay bit-identical across both legs (the batching contract).
+  // through one runtime, once at size-1 flushes and once with batches of up
+  // to 32, at identical stage parallelism and flusher count — the only
+  // delta is the batch. Sweeping N exposes where size-1 serving saturates
+  // the cloud tier while batches keep amortizing, and the dbs must stay
+  // bit-identical across both legs (the batching contract).
   constexpr int kW = 64, kH = 48;
   constexpr std::size_t kFrames = 48;
   synth::SceneConfig cfg;

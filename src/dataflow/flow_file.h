@@ -49,8 +49,8 @@ struct FlowFile {
   /// Bytes this frame put on the WAN as goodput (0 until it crosses).
   std::uint64_t wan_bytes = 0;
   std::uint8_t label_bits = 0;  ///< synth::LabelSet bits of a kLabel
-  /// A validated activation handed to the batched cloud sink. The payload
-  /// is released once this is set: the envelope never holds both.
+  /// A parsed activation the cloud sink hands to the fleet batcher. The
+  /// payload is released once this is set: the envelope never holds both.
   std::optional<nn::Tensor> tensor;
 };
 

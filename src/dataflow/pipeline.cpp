@@ -10,7 +10,7 @@
 
 namespace sieve::dataflow {
 
-// Sequencing state of one ordered stage. Pops are serialized under
+// Sequencing state of one stage. Pops are serialized under
 // pop_mutex so the sequence numbers mirror the inbound queue order; emits
 // wait under emit_mutex until their turn, so the outbound queue sees the
 // inbound order even with N workers transforming concurrently. A filtered
@@ -21,6 +21,7 @@ struct Pipeline::OrderedGate {
   std::condition_variable emit_cv;
   std::uint64_t next_pop = 0;
   std::uint64_t next_emit = 0;
+  std::atomic<int> live_workers{0};  ///< the last one out closes the output
 };
 
 Pipeline::Pipeline(std::size_t queue_capacity, runtime::Executor* executor)
@@ -38,14 +39,14 @@ Pipeline::~Pipeline() {
 }
 
 void Pipeline::AddStage(std::string name, TransformFn transform,
-                        int parallelism, bool ordered) {
+                        int parallelism) {
   std::lock_guard<std::mutex> lock(mutex_);
   // Configuration is frozen once started: live workers index into stages_,
   // so growing it mid-flight would race a vector reallocation.
   assert(!started_ && "Pipeline: AddStage after Start()");
   if (started_) return;
   stages_.push_back(StageSpec{std::move(name), std::move(transform),
-                              std::max(1, parallelism), ordered});
+                              std::max(1, parallelism)});
 }
 
 void Pipeline::SetSink(std::string name, SinkFn sink) {
@@ -96,35 +97,30 @@ Status Pipeline::Start() {
 
   // Transform stages: queue i -> queue i+1, with per-stage worker counts.
   // Each stage closes its output only after all its workers finish.
-  live_workers_.reserve(stages_.size());
   gates_.reserve(stages_.size());
   for (const auto& stage : stages_) {
-    live_workers_.push_back(std::make_unique<std::atomic<int>>(stage.parallelism));
-    gates_.push_back(stage.ordered && stage.parallelism > 1
-                         ? std::make_unique<OrderedGate>()
-                         : nullptr);
+    gates_.push_back(std::make_unique<OrderedGate>());
+    gates_.back()->live_workers = stage.parallelism;
   }
   for (std::size_t s = 0; s < stages_.size(); ++s) {
     for (int w = 0; w < stages_[s].parallelism; ++w) {
       workers_.push_back(executor_->SpawnWorker([this, s] {
         BoundedQueue<FlowFile>& in = *queues_[s];
         BoundedQueue<FlowFile>& out = *queues_[s + 1];
-        OrderedGate* gate = gates_[s].get();
+        OrderedGate& gate = *gates_[s];
         std::size_t consumed = 0, emitted = 0;
         double busy = 0;
         Stopwatch watch;
         for (;;) {
           std::optional<FlowFile> item;
           std::uint64_t seq = 0;
-          if (gate != nullptr) {
+          {
             // Serialize pop + sequence claim: seq order == queue order, so
             // a worker can only ever wait on seqs other workers are already
             // processing (no circular wait).
-            std::lock_guard<std::mutex> pop_lock(gate->pop_mutex);
+            std::lock_guard<std::mutex> pop_lock(gate.pop_mutex);
             item = in.Pop();
-            if (item) seq = gate->next_pop++;
-          } else {
-            item = in.Pop();
+            if (item) seq = gate.next_pop++;
           }
           if (!item) break;
           ++consumed;
@@ -142,29 +138,23 @@ Status Pipeline::Start() {
             result = stages_[s].transform(std::move(*item));
           }
           busy += watch.ElapsedSeconds();
-          if (gate != nullptr) {
-            bool push_failed = false;
-            {
-              std::unique_lock<std::mutex> emit_lock(gate->emit_mutex);
-              gate->emit_cv.wait(emit_lock,
-                                 [&] { return gate->next_emit == seq; });
-              if (result) {
-                // The push happens under emit_mutex: emit order is pop
-                // order even when the outbound queue is contended.
-                if (out.Push(std::move(*result))) {
-                  ++emitted;
-                } else {
-                  push_failed = true;
-                }
+          bool push_failed = false;
+          {
+            std::unique_lock<std::mutex> emit_lock(gate.emit_mutex);
+            gate.emit_cv.wait(emit_lock, [&] { return gate.next_emit == seq; });
+            if (result) {
+              // The push happens under emit_mutex: emit order is pop order
+              // even when the outbound queue is contended.
+              if (out.Push(std::move(*result))) {
+                ++emitted;
+              } else {
+                push_failed = true;
               }
-              ++gate->next_emit;
             }
-            gate->emit_cv.notify_all();
-            if (push_failed) break;
-          } else if (result) {
-            if (!out.Push(std::move(*result))) break;
-            ++emitted;
+            ++gate.next_emit;
           }
+          gate.emit_cv.notify_all();
+          if (push_failed) break;
         }
         {
           std::lock_guard<std::mutex> stats_lock(stats_mutex_);
@@ -175,7 +165,7 @@ Status Pipeline::Start() {
               std::max(stage_stats_[s].peak_queue, in.peak_depth());
           stage_stats_[s].avg_queue = in.avg_depth();
         }
-        if (live_workers_[s]->fetch_sub(1) == 1) out.Close();
+        if (gate.live_workers.fetch_sub(1) == 1) out.Close();
       }));
     }
   }

@@ -73,14 +73,12 @@ class Pipeline {
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
 
-  /// Add a transform stage with `parallelism` workers. With `ordered` set,
-  /// a parallel stage emits items in exactly the order it consumed them
-  /// (workers claim a sequence number with their pop and wait their turn to
-  /// push), so downstream serial stages observe the inbound order — the
-  /// still-transcode tier uses this to scale workers without reordering any
-  /// camera's frames. ordered is a no-op at parallelism 1.
-  void AddStage(std::string name, TransformFn transform, int parallelism = 1,
-                bool ordered = false);
+  /// Add a transform stage with `parallelism` workers. A parallel stage
+  /// emits items in exactly the order it consumed them (workers claim a
+  /// sequence number with their pop and wait their turn to push), so
+  /// downstream stages observe the inbound order — the runtime's tiers
+  /// scale workers without reordering any camera's frames.
+  void AddStage(std::string name, TransformFn transform, int parallelism = 1);
   void SetSink(std::string name, SinkFn sink);
 
   /// Launch stage and sink workers (and any sources registered so far).
@@ -109,9 +107,8 @@ class Pipeline {
     std::string name;
     TransformFn transform;
     int parallelism = 1;
-    bool ordered = false;
   };
-  struct OrderedGate;  ///< pop/emit sequencing state of an ordered stage
+  struct OrderedGate;  ///< pop/emit sequencing and live workers of a stage
 
   void StartSourceLocked(SourceSpec& spec);
 
@@ -132,11 +129,10 @@ class Pipeline {
   const char* sink_trace_name_ = nullptr;
 
   std::vector<std::unique_ptr<BoundedQueue<FlowFile>>> queues_;
-  std::vector<std::unique_ptr<OrderedGate>> gates_;  ///< one per ordered stage
+  std::vector<std::unique_ptr<OrderedGate>> gates_;  ///< one per stage
   std::vector<std::thread> workers_;            ///< stage + sink workers
   std::vector<StageStats> stage_stats_;         ///< stages..., sink
   std::mutex stats_mutex_;
-  std::vector<std::unique_ptr<std::atomic<int>>> live_workers_;
 };
 
 }  // namespace sieve::dataflow

@@ -1,40 +1,38 @@
-// Cross-session batched cloud inference: the fleet tier's fan-in point.
+// Cross-session batched cloud inference: the cloud tier's one inference path.
 //
 // Many camera sessions deliver cut-point activations (stills decode to the
 // split-0 activation) to one cloud; running each through ForwardSuffix alone
 // re-streams the suffix weights through cache per frame. The InferenceBatcher
-// instead collects delivered activations keyed by (split point, inference
-// precision), runs ONE FrameClassifier::PredictBatch pass per flush, and
-// routes every prediction back to its session through a per-sample
-// completion callback. Precision is part of the key so a fleet mixing int8
-// and fp32 sessions never cross-batches: each sample rides a pass at exactly
-// the precision its session asked for.
+// instead collects every delivered activation in one submit-order FIFO, runs
+// ONE FrameClassifier::PredictBatch pass per flush over samples that share a
+// (split point, inference precision) key, and routes every prediction back
+// to its session through a per-sample completion callback. Precision is part
+// of the key so a fleet mixing int8 and fp32 sessions never cross-batches:
+// each sample rides a pass at exactly the precision its session asked for.
 //
-// Flushing is work-conserving: whenever the flusher is free and anything is
-// pending, it flushes at once — the key whose oldest sample is oldest, its
-// fairness-planned FIFO prefix of up to batch_max samples. Samples that
+// Flushing is work-conserving: whenever a flusher is free and a sample can
+// go, it flushes at once; the oldest such sample picks the key. Samples that
 // arrive during a pass form the next batch, so batches grow only while the
-// flusher is busy and an idle fleet never waits for a batch to fill.
+// flushers are busy and an idle fleet never waits for a batch to fill.
 //
 // The batch is invisible to correctness: PredictBatch is bit-exact per
 // sample vs the per-frame path (see Layer::ForwardBatch), so a camera's
 // database is identical whether its frames rode batches or not. Submit
 // blocks when the pending window is full (backpressure into the pipeline's
-// serial sink, exactly like a bounded queue), and a session's samples flush
-// in submission order on the one flusher, so per-camera delivery order is
-// preserved.
+// serial sink, exactly like a bounded queue). A camera's samples only ever
+// ride one batch at a time, and each batch takes a prefix of that camera's
+// pending samples, so per-camera callback order is submit order for any
+// number of flushers.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <thread>
-
-#include <utility>
+#include <unordered_set>
+#include <vector>
 
 #include "common/status.h"
 #include "fleet/scheduler.h"
@@ -61,22 +59,23 @@ struct BatcherStats {
 };
 
 /// Collects activations from many sessions and serves them in batches.
-/// Thread-safe: any number of submitters; one internal flusher worker runs
+/// Thread-safe: any number of submitters; `flushers` internal workers run
 /// the batched passes and the completion callbacks.
 class InferenceBatcher {
  public:
-  /// Called on the flusher thread with the sample's prediction (or the
-  /// error that killed its batch slot) and the size of the batch it rode in.
+  /// Called on a flusher thread with the sample's prediction (or the error
+  /// that killed its batch slot) and the size of the batch it rode in.
   using DoneFn =
       std::function<void(Expected<synth::LabelSet>, std::size_t batch_size)>;
 
   /// `pending_capacity` bounds queued samples across all keys (backpressure
-  /// window); 0 sizes it to 4 * batch_max. The classifier must outlive the
-  /// batcher and be fitted before the first flush.
+  /// window); 0 sizes it to 4 * batch_max. `flushers` (at least 1) batched
+  /// passes may run at once, over disjoint cameras. The classifier must
+  /// outlive the batcher and be fitted before the first flush.
   InferenceBatcher(const nn::FrameClassifier& classifier,
                    runtime::Executor& executor, FleetSchedulerPolicy policy,
-                   std::size_t pending_capacity = 0);
-  /// Flushes pending work, then stops the flusher.
+                   std::size_t pending_capacity = 0, std::size_t flushers = 1);
+  /// Flushes pending work, then stops the flushers.
   ~InferenceBatcher();
 
   InferenceBatcher(const InferenceBatcher&) = delete;
@@ -97,40 +96,45 @@ class InferenceBatcher {
   /// drains the pipeline, then the batcher).
   void Drain();
 
+  /// Block until every sample `camera` has submitted so far has completed,
+  /// so work the caller does next for that camera lands after them.
+  void AwaitCamera(std::uint64_t camera);
+
   BatcherStats stats() const;
   const FleetScheduler& scheduler() const noexcept { return scheduler_; }
 
  private:
-  /// What one flush runs: every sample in a batch shares the split (shape
-  /// compatibility) and the precision (one PredictBatch mode per pass).
-  using BatchKey = std::pair<std::size_t, nn::Precision>;
-
   struct Item {
     nn::Tensor activation;
     std::uint64_t camera = 0;
-    std::uint64_t seq = 0;  ///< submit order across every key
+    /// Every sample in a batch shares the split (shape compatibility) and
+    /// the precision (one PredictBatch mode per pass).
+    std::size_t split = 0;
+    nn::Precision precision = nn::Precision::kFp32;
     DoneFn done;
   };
 
   void FlusherLoop();
+  /// Move the next batch out of pending_ (empty when no pending sample may
+  /// go yet) and mark its cameras in flight. Caller holds mutex_.
+  std::vector<Item> TakeBatchLocked();
 
   const nn::FrameClassifier& classifier_;
   const FleetScheduler scheduler_;
   const std::size_t capacity_;
 
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;   ///< wakes the flusher
+  std::condition_variable work_cv_;   ///< wakes the flushers
   std::condition_variable space_cv_;  ///< wakes blocked submitters
-  std::condition_variable idle_cv_;   ///< wakes Drain
-  /// (split, precision) -> FIFO; a key is erased when its queue empties.
-  std::map<BatchKey, std::deque<Item>> pending_;
-  std::size_t pending_total_ = 0;
-  std::size_t in_flight_ = 0;  ///< samples inside the current flush
-  std::uint64_t next_seq_ = 0;
+  std::condition_variable idle_cv_;   ///< wakes Drain and AwaitCamera
+  std::vector<Item> pending_;  ///< every key, in submit order
+  /// Cameras with samples inside a running flush (each in exactly one).
+  std::unordered_set<std::uint64_t> in_flight_cameras_;
   bool stop_ = false;
   BatcherStats stats_;
 
-  std::thread flusher_;  ///< last member: joins before state tears down
+  /// Last member: the flushers join before the state they use tears down.
+  std::vector<std::thread> flushers_;
 };
 
 }  // namespace sieve::fleet

@@ -25,7 +25,7 @@ std::uint64_t RouteSeq(const std::string& route) {
 }
 
 // Insert a labelled frame into its session's database and settle it
-// delivered. `batch_size` is the fleet batch the frame rode in (0: none).
+// delivered. `batch_size` is the fleet batch the frame rode in (0: a label).
 void Deliver(const dataflow::FlowFile& file, synth::LabelSet labels,
              std::size_t batch_size) {
   internal::SessionState& session = *file.session;
@@ -293,12 +293,13 @@ Runtime::Runtime(RuntimeConfig config, const nn::FrameClassifier* classifier,
   // by the time OpenSession can be called, the index already serves every
   // journaled camera and `recovered_` stages the resumable ones.
   if (config_.store.enabled()) RecoverFromStore();
-  if (config_.cloud_batch_max > 1 && classifier_ != nullptr) {
+  if (classifier_ != nullptr) {
     fleet::FleetSchedulerPolicy policy;
     policy.batch_max = config_.cloud_batch_max;
     policy.fairness_share = config_.cloud_batch_fairness_share;
-    batcher_ = std::make_unique<fleet::InferenceBatcher>(*classifier_,
-                                                         *executor_, policy);
+    batcher_ = std::make_unique<fleet::InferenceBatcher>(
+        *classifier_, *executor_, policy, /*pending_capacity=*/0,
+        std::size_t(std::max(1, config_.cloud_nn_parallelism)));
     batch_wait_ms_ = registry_->GetHistogram("batch.wait_ms");
   }
   BuildTiers();
@@ -404,7 +405,7 @@ void Runtime::BuildTiers() {
 
   // --- Edge: decompress the I-frame like a still, resize to the NN input,
   // and re-encode for the NN stage. Runs transcode_parallelism workers;
-  // the ordered flag keeps every camera's frames in push order downstream.
+  // the pipeline keeps every camera's frames in push order downstream.
   pipeline_.AddStage(
       "edge/still-transcode",
       [this](dataflow::FlowFile file) -> std::optional<dataflow::FlowFile> {
@@ -429,7 +430,7 @@ void Runtime::BuildTiers() {
         file.kind = Kind::kStill;
         return file;
       },
-      config_.transcode_parallelism, /*ordered=*/true);
+      config_.transcode_parallelism);
 
   // --- Edge: the session's share of the split forward pass ----------------
   // split == 0: pass the still through; the cloud runs the whole network.
@@ -454,9 +455,9 @@ void Runtime::BuildTiers() {
         }
         const nn::Tensor input = classifier_->InputTensor(*still);
         const std::size_t layers = classifier_->network().LayerCount();
-        // Session-fixed (unlike the split, which replans): the cloud suffix
-        // and the fleet batcher read the same field, so both halves of a
-        // split forward always run at one precision.
+        // Session-fixed (unlike the split, which replans): the fleet batcher
+        // reads the same field, so both halves of a split forward always
+        // run at one precision.
         const nn::Precision precision = session.precision;
         file.split = split;
         if (split >= layers) {
@@ -477,7 +478,7 @@ void Runtime::BuildTiers() {
         }
         return file;
       },
-      config_.edge_nn_parallelism, /*ordered=*/true);
+      config_.edge_nn_parallelism);
 
   // --- Edge -> cloud WAN (shared hop, per-camera accounting). Labels from
   // all-edge sessions ride out-of-band (the old kEdge tier's contract:
@@ -526,72 +527,45 @@ void Runtime::BuildTiers() {
         MaybeReactToWanHealth();
         return file;
       },
-      config_.wan_parallelism, /*ordered=*/true);
+      config_.wan_parallelism);
 
-  // --- Cloud: the widened NN stage. Decodes and validates every payload in
-  // parallel (cloud_nn_parallelism workers, order-kept per camera) into the
-  // cut-point activation (a still decodes to the split-0 activation), then:
-  //   * batching off — finishes the split right here (suffix layers +
-  //     centroid match) and passes the label on for the sink to record;
-  //   * batching on — hands the validated activation to the serial sink,
-  //     which feeds the fleet batcher, which runs one batched suffix pass
-  //     per flush. Bit-exact either way.
+  // --- Cloud: the widened NN stage. Parses every payload in parallel
+  // (cloud_nn_parallelism workers, order-kept per camera) into the cut-point
+  // activation (a still decodes to the split-0 activation). The batcher's
+  // Submit checks the activation's shape against its split.
   pipeline_.AddStage(
       "cloud/nn",
       [this](dataflow::FlowFile file) -> std::optional<dataflow::FlowFile> {
-        internal::SessionState& session = *file.session;
         if (file.kind == Kind::kLabel) return file;  // edge-computed
-        nn::Tensor activation;
         if (file.kind == Kind::kActivation) {
-          auto parsed = nn::DeserializeTensor(file.payload);
-          // The payload crossed the WAN: verify the activation's shape
-          // really is what layer `split` consumes before running layers on
-          // it (a mismatched pair would index out of bounds in Release).
-          if (!parsed.ok() ||
-              file.split > classifier_->network().LayerCount() ||
-              !(parsed->shape() ==
-                classifier_->network().ShapeAtLayer(file.split))) {
-            session.RecordOutcome(file,
-                                  internal::FrameOutcome::kDroppedCorrupt);
-            return std::nullopt;
+          if (auto parsed = nn::DeserializeTensor(file.payload); parsed.ok()) {
+            file.tensor = std::move(*parsed);
           }
-          activation = std::move(*parsed);
-        } else {
-          auto still = codec::DecodeStill(file.payload);
-          if (!still.ok()) {
-            session.RecordOutcome(file,
-                                  internal::FrameOutcome::kDroppedCorrupt);
-            return std::nullopt;
-          }
-          // A still is the split-0 cut point: the whole network runs here.
-          activation = classifier_->InputTensor(*still);
+        } else if (auto still = codec::DecodeStill(file.payload); still.ok()) {
+          // A still is the split-0 cut point: the batcher runs every layer.
+          file.tensor = classifier_->InputTensor(*still);
         }
-        std::vector<std::uint8_t>().swap(file.payload);  // parsed: release
-        if (batcher_ != nullptr) {
-          file.kind = Kind::kActivation;
-          file.tensor = std::move(activation);
-          return file;
-        }
-        auto predicted = classifier_->PredictFromEmbedding(
-            classifier_->network()
-                .ForwardSuffix(activation, file.split, session.precision)
-                .values());
-        if (!predicted.ok()) {
-          session.RecordOutcome(file, internal::FrameOutcome::kDroppedCorrupt);
+        if (!file.tensor) {
+          file.session->RecordOutcome(file,
+                                      internal::FrameOutcome::kDroppedCorrupt);
           return std::nullopt;
         }
-        file.kind = Kind::kLabel;
-        file.label_bits = predicted->bits();
+        std::vector<std::uint8_t>().swap(file.payload);  // parsed: release
         return file;
       },
-      config_.cloud_nn_parallelism, /*ordered=*/true);
+      config_.cloud_nn_parallelism);
 
-  // --- Cloud sink: record results into the per-camera databases. Serial on
-  // purpose — batcher submissions must happen in per-camera arrival order
-  // (the ordered stages upstream only order *emissions*, not transform side
-  // effects), and the db insert itself is cheap.
+  // --- Cloud sink: record edge-computed labels, and hand every activation
+  // to the fleet batcher, whose flushers run the suffix layers and the
+  // centroid match and record the result. Serial on purpose — batcher
+  // submissions must happen in per-camera arrival order (the order-kept
+  // stages upstream only order *emissions*, not transform side effects),
+  // and the db insert itself is cheap.
   pipeline_.SetSink("cloud/sink", [this](dataflow::FlowFile file) {
     if (!file.tensor) {
+      // A camera that just fell back to edge-only may still have frames in
+      // the batcher; its first label must not be stored ahead of them.
+      batcher_->AwaitCamera(file.session->track);
       Deliver(file, synth::LabelSet{file.label_bits}, /*batch_size=*/0);
       return;
     }
@@ -602,7 +576,7 @@ void Runtime::BuildTiers() {
     const internal::SessionState& session = *file.session;
     const std::size_t split = file.split;
     // Batcher residency is observable per frame: the submit instant here,
-    // the covering "batch/flush" span on the flusher thread, and the
+    // the covering "batch/flush" span on a flusher thread, and the
     // "db/insert" span in the callback bound the time the frame spent
     // queued versus in the batched pass. batch.wait_ms records the same
     // submit-to-callback interval with tracing off.
@@ -610,7 +584,8 @@ void Runtime::BuildTiers() {
                        std::uint64_t(split));
     // Submit blocks while the batcher's window is full — that is this
     // pipeline's backpressure propagating into the fleet tier. The
-    // callback runs on the flusher thread after the batched pass. The
+    // callback runs on a flusher thread after the batched pass, or right
+    // here (batch size 0) when Submit rejects the activation's shape. The
     // fairness key is the session's track: one stable value per
     // incarnation.
     batcher_->Submit(
@@ -618,7 +593,7 @@ void Runtime::BuildTiers() {
         [file = std::move(file), wait_ms = batch_wait_ms_,
          submitted = Stopwatch()](Expected<synth::LabelSet> label,
                                   std::size_t batch_size) {
-          wait_ms->Record(submitted.ElapsedMillis());
+          if (batch_size > 0) wait_ms->Record(submitted.ElapsedMillis());
           if (!label.ok()) {
             file.session->RecordOutcome(
                 file, internal::FrameOutcome::kDroppedCorrupt);

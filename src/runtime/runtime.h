@@ -99,25 +99,24 @@ struct RuntimeConfig {
   int transcode_parallelism = 1;   ///< still-transcode workers (order-kept)
   /// Edge-NN stage workers (order-kept, like transcode_parallelism): scales
   /// the prefix/full forward passes of all-edge and split sessions across
-  /// the fan-in. Per-camera result order is preserved (the stage runs
-  /// ordered), so scaling it is invisible to the query layer and the dbs.
+  /// the fan-in. Per-camera result order is preserved, so scaling it is
+  /// invisible to the query layer and the dbs.
   int edge_nn_parallelism = 1;
   /// WAN-stage workers (order-kept): concurrent reliable sends over the
   /// shared hop. The transport and meters are internally synchronized; the
-  /// ordered gate keeps per-camera delivery order. At fleet scale the
+  /// stage's order gate keeps per-camera delivery order. At fleet scale the
   /// serial WAN worker is the first fan-in bottleneck (see docs/fleet.md).
   int wan_parallelism = 1;
-  /// Cloud-NN stage workers (order-kept): parallel payload decode and
-  /// validation, plus — when batching is off — the per-frame suffix
-  /// inference itself.
+  /// Cloud-NN workers: the cloud/nn stage's parallel payload decode and
+  /// validation (order-kept), and the fleet batcher's flushers — how many
+  /// batched inference passes run at once, over disjoint cameras.
   int cloud_nn_parallelism = 1;
-  /// Cross-session batched cloud inference (src/fleet/): > 1 routes every
-  /// delivered activation/still through an InferenceBatcher that runs one
-  /// batched ForwardSuffix pass of up to this many samples whenever its
-  /// flusher is free — an idle batcher flushes a lone frame at once.
-  /// Per-sample results are bit-exact vs the per-frame path, so enabling
-  /// batching never changes any camera's database. <= 1 disables batching
-  /// (the cloud/nn stage predicts inline, frame by frame).
+  /// Cross-session batched cloud inference (src/fleet/): every delivered
+  /// activation/still goes through one InferenceBatcher, which runs a
+  /// batched suffix pass of up to this many samples whenever a flusher is
+  /// free — an idle batcher flushes a lone frame at once. Per-sample
+  /// results are bit-exact vs a per-frame pass, so the batch size never
+  /// changes any camera's database. <= 1 means size-1 flushes.
   std::size_t cloud_batch_max = 1;
   /// Fairness: max samples one camera may hold in a single batch
   /// (0 = uncapped); see fleet::FleetSchedulerPolicy.
@@ -174,7 +173,7 @@ struct RuntimeHealth {
   std::size_t sessions_healthy = 0;
   std::size_t sessions_degraded = 0;
   std::size_t sessions_edge_fallback = 0;
-  // Fleet batching tier (zero when cloud_batch_max <= 1).
+  // Fleet batching tier: the cloud's one inference path.
   std::uint64_t cloud_batches = 0;        ///< batched flushes run
   std::uint64_t cloud_batch_samples = 0;  ///< frames served by batches
   double cloud_batch_occupancy_avg = 0.0; ///< mean samples per flush
@@ -204,8 +203,8 @@ struct SessionConfig {
   /// bytes still cross the runtime's shared realized WAN hop.
   std::optional<net::LinkModel> wan_hint;
   /// Inference precision for this session's classifier work — everywhere it
-  /// runs: the edge prefix/full forward, the cloud suffix, and the fleet
-  /// batcher's batched passes (which never mix precisions in one flush).
+  /// runs: the edge prefix/full forward and the fleet batcher's batched
+  /// cloud passes (which never mix precisions in one flush).
   /// Fixed for the session's lifetime; the split may replan on WAN health,
   /// the precision does not. kAuto placements are planned against per-layer
   /// timings measured at this precision — an int8 session's split must come
@@ -270,8 +269,8 @@ struct SessionReport {
   double latency_avg_ms = 0.0;
   double latency_p99_ms = 0.0;
   double latency_max_ms = 0.0;
-  /// Frames of this camera that rode the fleet batcher's batched cloud
-  /// passes (0 unless RuntimeConfig::cloud_batch_max > 1).
+  /// Frames of this camera whose labels came from the fleet batcher's cloud
+  /// passes (every delivered frame except edge-computed labels).
   std::size_t cloud_batched_frames = 0;
   /// Frame-weighted mean size of the batches those frames rode in — this
   /// camera's share of the fleet's amortization.
@@ -587,9 +586,10 @@ class Runtime {
   /// stage so each transition triggers exactly one replan sweep.
   std::atomic<int> reacted_health_{0};
   std::atomic<std::uint64_t> replans_{0};  ///< fleet-wide plan swaps
-  /// The fleet batching tier (null when cloud_batch_max <= 1). Declared
-  /// before pipeline_ on purpose: the sink submits into the batcher, so it
-  /// must outlive the pipeline's teardown.
+  /// The fleet batching tier: the cloud's one inference path (null only
+  /// without a classifier, when no session can open). Declared before
+  /// pipeline_ on purpose: the sink submits into the batcher, so it must
+  /// outlive the pipeline's teardown.
   std::unique_ptr<fleet::InferenceBatcher> batcher_;
   /// batch.wait_ms: per batched frame, sink Submit to its callback (null
   /// without a batcher).

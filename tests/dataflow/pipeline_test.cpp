@@ -248,8 +248,8 @@ TEST(Pipeline, StreamingAttachWhileRunning) {
 
 TEST(Pipeline, OrderedParallelStagePreservesInputOrder) {
   // Workers get adversarial per-item delays (later items finish sooner), so
-  // an unordered parallel stage would almost surely reorder; the ordered
-  // flag must deliver the exact input sequence anyway.
+  // emitting as workers finish would almost surely reorder; the stage's
+  // order gate must deliver the exact input sequence anyway.
   constexpr std::size_t kItems = 200;
   Pipeline p(/*queue_capacity=*/8);
   std::size_t produced = 0;
@@ -264,7 +264,7 @@ TEST(Pipeline, OrderedParallelStagePreservesInputOrder) {
         std::this_thread::sleep_for(std::chrono::microseconds((3 - n % 4) * 400));
         return f;
       },
-      /*parallelism=*/4, /*ordered=*/true);
+      /*parallelism=*/4);
   std::vector<std::uint64_t> order;
   std::mutex order_mutex;
   p.SetSink("sink", [&](FlowFile f) {
@@ -295,7 +295,7 @@ TEST(Pipeline, OrderedStageStillFilters) {
         if (n % 2 == 1) return std::nullopt;  // dropped items advance the gate
         return f;
       },
-      /*parallelism=*/3, /*ordered=*/true);
+      /*parallelism=*/3);
   std::vector<std::uint64_t> order;
   std::mutex order_mutex;
   p.SetSink("sink", [&](FlowFile f) {

@@ -1,9 +1,10 @@
 // InferenceBatcher behaviour: work-conserving flushes, oldest-key-first
-// service, bit-exact batched predictions, per-camera callback order,
-// fairness, shape validation, and drain semantics — the live half of the
-// fleet batching tier. Batches are built on purpose: a FlusherGate parks
-// the flusher inside one sample's callback while a test queues a backlog,
-// so the batches that follow are deterministic.
+// service, bit-exact batched predictions, per-camera callback order (across
+// batch keys and parallel flushers), fairness, shape validation, and drain
+// and per-camera await semantics — the live half of the fleet batching
+// tier. Batches are built on purpose: a FlusherGate parks a flusher inside
+// one sample's callback while a test queues a backlog, so the batches that
+// follow are deterministic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -84,17 +85,19 @@ struct Collector {
   }
 };
 
-// Parks the flusher inside a lone sample's completion callback (which runs
-// on the flusher thread), so samples submitted meanwhile queue up as one
-// backlog. Declare it before the batcher: the parked callback touches the
-// gate until it returns, and the batcher joins its flusher on destruction.
+// Parks a flusher inside a lone sample's completion callback (which runs on
+// the flusher thread), so samples submitted meanwhile queue up as one
+// backlog — or, with more flushers, wait while `camera` is in flight.
+// Declare it before the batcher: the parked callback touches the gate until
+// it returns, and the batcher joins its flushers on destruction.
 class FlusherGate {
  public:
-  /// Submits the gate sample and returns once the flusher is parked in its
-  /// callback. The batcher must be idle.
-  void Close(InferenceBatcher& batcher, const nn::Network& net) {
+  /// Submits the gate sample for `camera` and returns once a flusher is
+  /// parked in its callback. The batcher must have a flusher idle.
+  void Close(InferenceBatcher& batcher, const nn::Network& net,
+             std::uint64_t camera = ~std::uint64_t{0}) {
     const std::size_t split = net.LayerCount();
-    batcher.Submit(/*camera=*/~std::uint64_t{0}, split,
+    batcher.Submit(camera, split,
                    DeterministicInput(net.ShapeAtLayer(split), 999),
                    nn::Precision::kFp32,
                    [this](Expected<synth::LabelSet>, std::size_t) {
@@ -269,6 +272,126 @@ TEST(InferenceBatcher, OldestKeyFlushesFirstWhileAnotherIsRefilled) {
   EXPECT_EQ(order, (std::vector<std::string>{"a0", "b", "a1", "a2", "a3"}));
 }
 
+TEST(InferenceBatcher, CameraOrderHoldsAcrossBatchKeys) {
+  const nn::FrameClassifier& classifier = SharedClassifier();
+  const nn::Network& net = classifier.network();
+  const std::size_t split_a = net.LayerCount() - 1;
+  const std::size_t split_b = net.LayerCount();
+  constexpr std::uint64_t kCameraX = 1, kCameraY = 2;
+
+  runtime::SerialExecutor executor;
+  FleetSchedulerPolicy policy;
+  policy.batch_max = 4;
+  Collector collector;
+  FlusherGate gate;
+  {
+    InferenceBatcher batcher(classifier, executor, policy);
+    gate.Close(batcher, net);
+    // Backlog Y1@a, X2@b, X3@a (a replan flipped camera X's split between
+    // its frames 2 and 3). Key a is the oldest, but X3 must not ride it
+    // ahead of X2.
+    batcher.Submit(kCameraY, split_a,
+                   DeterministicInput(net.ShapeAtLayer(split_a), 1),
+                   nn::Precision::kFp32, collector.Callback(kCameraY, 1));
+    batcher.Submit(kCameraX, split_b,
+                   DeterministicInput(net.ShapeAtLayer(split_b), 2),
+                   nn::Precision::kFp32, collector.Callback(kCameraX, 2));
+    batcher.Submit(kCameraX, split_a,
+                   DeterministicInput(net.ShapeAtLayer(split_a), 3),
+                   nn::Precision::kFp32, collector.Callback(kCameraX, 3));
+    gate.Open();
+    batcher.Drain();
+  }
+  const std::vector<std::tuple<std::uint64_t, std::size_t, std::size_t>>
+      expected = {{kCameraY, 1, 1}, {kCameraX, 2, 1}, {kCameraX, 3, 1}};
+  ASSERT_EQ(collector.done.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& d = collector.done[i];
+    ASSERT_TRUE(d.label.ok());
+    EXPECT_EQ(std::make_tuple(d.camera, d.seq, d.batch_size), expected[i])
+        << "completion " << i;
+  }
+}
+
+TEST(InferenceBatcher, ParallelFlushersServeOtherCamerasWhileOneIsInFlight) {
+  const nn::FrameClassifier& classifier = SharedClassifier();
+  const nn::Network& net = classifier.network();
+  const std::size_t split = net.LayerCount();
+  constexpr std::uint64_t kCameraA = 1, kCameraB = 2;
+
+  runtime::SerialExecutor executor;
+  FleetSchedulerPolicy policy;
+  policy.batch_max = 4;
+  Collector collector;
+  FlusherGate gate;
+  {
+    InferenceBatcher batcher(classifier, executor, policy,
+                             /*pending_capacity=*/0, /*flushers=*/2);
+    gate.Close(batcher, net, kCameraA);  // A's frame 0 parks one flusher
+    batcher.Submit(kCameraA, split,
+                   DeterministicInput(net.ShapeAtLayer(split), 1),
+                   nn::Precision::kFp32, collector.Callback(kCameraA, 1));
+    batcher.Submit(kCameraB, split,
+                   DeterministicInput(net.ShapeAtLayer(split), 2),
+                   nn::Precision::kFp32, collector.Callback(kCameraB, 0));
+    // The other flusher serves B while A's callback is parked; A's frame 1,
+    // though older than B's, waits for A's frame 0. EXPECT, not ASSERT:
+    // the gate must open or the batcher's destructor waits forever.
+    EXPECT_TRUE(collector.WaitFor(1, std::chrono::seconds(10)))
+        << "no flusher served camera B while camera A was in flight";
+    {
+      std::lock_guard<std::mutex> lock(collector.mutex);
+      EXPECT_EQ(collector.done.size(), 1u);
+      if (!collector.done.empty()) {
+        EXPECT_EQ(collector.done[0].camera, kCameraB);
+        EXPECT_EQ(collector.done[0].batch_size, 1u);
+      }
+    }
+    gate.Open();
+    batcher.Drain();
+  }
+  ASSERT_EQ(collector.done.size(), 2u);
+  EXPECT_EQ(collector.done[1].camera, kCameraA);
+  EXPECT_EQ(collector.done[1].seq, 1u);
+  EXPECT_TRUE(collector.done[1].label.ok());
+}
+
+TEST(InferenceBatcher, AwaitCameraWaitsForThatCameraOnly) {
+  const nn::FrameClassifier& classifier = SharedClassifier();
+  const nn::Network& net = classifier.network();
+  const std::size_t split = net.LayerCount();
+  constexpr std::uint64_t kCameraA = 1, kCameraB = 2;
+
+  runtime::SerialExecutor executor;
+  Collector collector;
+  FlusherGate gate;
+  std::atomic<bool> opened{false};
+  bool returned_after_open = false;
+  std::size_t done_at_return = 0;
+  {
+    InferenceBatcher batcher(classifier, executor, {});
+    gate.Close(batcher, net, kCameraA);  // A's frame 0 is in flight, parked
+    batcher.Submit(kCameraA, split,
+                   DeterministicInput(net.ShapeAtLayer(split), 1),
+                   nn::Precision::kFp32, collector.Callback(kCameraA, 1));
+    batcher.AwaitCamera(kCameraB);  // B has nothing queued: returns at once
+    std::thread waiter([&] {
+      batcher.AwaitCamera(kCameraA);
+      returned_after_open = opened.load();
+      std::lock_guard<std::mutex> lock(collector.mutex);
+      done_at_return = collector.done.size();
+    });
+    // Give a wrong AwaitCamera the chance to return while A is in flight.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    opened = true;
+    gate.Open();
+    waiter.join();
+    batcher.Drain();
+  }
+  EXPECT_TRUE(returned_after_open) << "returned while A's frame 0 was parked";
+  EXPECT_EQ(done_at_return, 1u) << "returned before A's pending frame 1";
+}
+
 TEST(InferenceBatcher, FairnessShareCapsHotCameraInABacklog) {
   const nn::FrameClassifier& classifier = SharedClassifier();
   const nn::Network& net = classifier.network();
@@ -341,32 +464,36 @@ TEST(InferenceBatcher, PerCameraCallbackOrderSurvivesConcurrentSubmitters) {
   policy.fairness_share = 2;
   constexpr std::size_t kCameras = 4;
   constexpr std::size_t kPerCamera = 24;
-  Collector collector;
-  {
-    InferenceBatcher batcher(classifier, executor, policy,
-                             /*pending_capacity=*/8);  // exercise backpressure
-    std::vector<std::thread> submitters;
-    for (std::size_t cam = 0; cam < kCameras; ++cam) {
-      submitters.emplace_back([&, cam] {
-        for (std::size_t seq = 0; seq < kPerCamera; ++seq) {
-          batcher.Submit(cam, split,
-                         DeterministicInput(net.ShapeAtLayer(split),
-                                            cam * 100 + seq),
-                         nn::Precision::kFp32, collector.Callback(cam, seq));
-        }
-      });
+  for (const std::size_t flushers : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("flushers " + std::to_string(flushers));
+    Collector collector;
+    {
+      InferenceBatcher batcher(classifier, executor, policy,
+                               /*pending_capacity=*/8,  // exercise backpressure
+                               flushers);
+      std::vector<std::thread> submitters;
+      for (std::size_t cam = 0; cam < kCameras; ++cam) {
+        submitters.emplace_back([&, cam] {
+          for (std::size_t seq = 0; seq < kPerCamera; ++seq) {
+            batcher.Submit(cam, split,
+                           DeterministicInput(net.ShapeAtLayer(split),
+                                              cam * 100 + seq),
+                           nn::Precision::kFp32, collector.Callback(cam, seq));
+          }
+        });
+      }
+      for (auto& t : submitters) t.join();
+      batcher.Drain();
+      EXPECT_EQ(batcher.stats().samples, kCameras * kPerCamera);
     }
-    for (auto& t : submitters) t.join();
-    batcher.Drain();
-    EXPECT_EQ(batcher.stats().samples, kCameras * kPerCamera);
-  }
-  ASSERT_EQ(collector.done.size(), kCameras * kPerCamera);
-  std::vector<std::size_t> next(kCameras, 0);
-  for (const auto& d : collector.done) {
-    ASSERT_TRUE(d.label.ok());
-    EXPECT_EQ(d.seq, next[d.camera])
-        << "camera " << d.camera << ": batching reordered deliveries";
-    ++next[d.camera];
+    ASSERT_EQ(collector.done.size(), kCameras * kPerCamera);
+    std::vector<std::size_t> next(kCameras, 0);
+    for (const auto& d : collector.done) {
+      ASSERT_TRUE(d.label.ok());
+      EXPECT_EQ(d.seq, next[d.camera])
+          << "camera " << d.camera << ": batching reordered deliveries";
+      ++next[d.camera];
+    }
   }
 }
 

@@ -2,8 +2,8 @@
 // sessions stream through one Runtime with cross-session batched cloud
 // inference enabled, and
 //
-//   * every camera's database is identical to an isolated unbatched run of
-//     the same feed — the batch is invisible to per-camera results;
+//   * every camera's database is identical to an isolated run of the same
+//     feed at size-1 flushes — the batch is invisible to per-camera results;
 //   * under 5% scripted WAN loss every session's delivered-or-dropped
 //     ledger reconciles exactly (no frame is silently lost in the batcher);
 //   * when the WAN trips kDown, frames already across the link settle as
@@ -109,12 +109,12 @@ TEST(FleetScale, BatchedFleetDatabasesMatchIsolatedUnbatchedRun) {
   const codec::EncodedVideo encoded = EncodeOnce();
   const std::span<const std::uint8_t> bytes(encoded.bytes);
 
-  // --- Reference: one isolated, unbatched, serial-stage session ----------
+  // --- Reference: one isolated, size-1-flush, serial-stage session --------
   core::ResultsDatabase reference;
   std::size_t reference_labels = 0;
   {
     RuntimeConfig config;
-    config.nn_input_size = 32;  // cloud_batch_max stays 1: per-frame path
+    config.nn_input_size = 32;  // cloud_batch_max stays 1: size-1 flushes
     Runtime runtime(config, &classifier);
     auto session = runtime.OpenSession("reference", FleetSessionConfig());
     ASSERT_TRUE(session.ok());

@@ -171,6 +171,9 @@ TEST(WanChaos, ScriptedOutageRunReconcilesDegradesAndRecovers) {
   EXPECT_GE(rc.dropped_wan + rs.dropped_wan + ra.dropped_wan, 1u);
   EXPECT_EQ(rc.nn_split, 0u) << "base all-cloud plan restored";
   EXPECT_EQ(rs.nn_split, 1u) << "base fixed split restored";
+  // Every camera's rows reached the index in push order: the labels of an
+  // edge fallback never overtook the camera's frames still in the batcher.
+  EXPECT_EQ(runtime.registry().GetCounter("query.rebuilds")->value(), 0u);
 
   const RuntimeHealth final_health = runtime.health();
   EXPECT_EQ(final_health.wan_link, net::LinkHealth::kHealthy);
@@ -331,8 +334,8 @@ CorruptRun RunCorruptWan(const nn::FrameClassifier& classifier,
 
 TEST(WanChaos, CorruptDeliveriesDropAndReclassifyIdenticallyWhenBatched) {
   // Corrupted WAN deliveries must settle as dropped_corrupt with their bytes
-  // moved out of goodput, on both the per-frame and the batched cloud path
-  // — and the two paths must agree frame for frame.
+  // moved out of goodput, at size-1 flushes and at batches of up to 16 —
+  // and the two runs must agree frame for frame.
   const synth::SyntheticVideo scene = ChaosScene();
   nn::ClassifierParams cp;
   cp.input_size = 32;

@@ -9,6 +9,9 @@
 #include <tuple>
 #include <vector>
 
+#include "codec/decoder.h"
+#include "codec/still.h"
+#include "media/image_ops.h"
 #include "synth/scene.h"
 
 namespace sieve::runtime {
@@ -464,10 +467,85 @@ TEST_F(RuntimeTest, Int8SessionsAgreeAcrossPlacements) {
   }
 }
 
+TEST_F(RuntimeTest, CloudLabelsMatchAnOutOfRuntimeReference) {
+  // Every cloud frame rides the fleet batcher, so the runtime has no second
+  // cloud path to check it against. The reference here is built from the
+  // library pieces alone: encode, transcode the I-frames exactly as the
+  // edge does, then run the split forward and the centroid match frame by
+  // frame. Two cameras share the runtime so batches can hold several.
+  const SessionConfig session_cfg = SceneSession();
+  const RuntimeConfig base = SmallConfig();
+  codec::StreamingEncoder encoder(session_cfg.encoder, session_cfg.width,
+                                  session_cfg.height, session_cfg.fps);
+  for (const auto& frame : scene_->video.frames) {
+    ASSERT_TRUE(encoder.PushFrame(frame).ok());
+  }
+  const codec::EncodedVideo encoded = encoder.Finish();
+  std::vector<std::pair<std::size_t, nn::Tensor>> inputs;  // (frame, input)
+  for (const codec::FrameRecord& record : encoded.records) {
+    if (record.type != codec::FrameType::kIntra) continue;
+    auto decoded = codec::DecodeIntraFrameAt(encoded.bytes, record);
+    ASSERT_TRUE(decoded.ok());
+    auto still = codec::DecodeStill(codec::EncodeStill(
+        media::ResizeFrame(*decoded, base.nn_input_size, base.nn_input_size),
+        base.still_qp));
+    ASSERT_TRUE(still.ok());
+    inputs.emplace_back(record.index, classifier_->InputTensor(*still));
+  }
+  ASSERT_FALSE(inputs.empty());
+
+  const nn::Network& net = classifier_->network();
+  for (const std::size_t split : {std::size_t{0}, net.LayerCount() / 2}) {
+    for (const nn::Precision precision :
+         {nn::Precision::kFp32, nn::Precision::kInt8}) {
+      std::map<std::size_t, synth::LabelSet> expected;
+      for (const auto& [frame, input] : inputs) {
+        auto labels = classifier_->PredictFromEmbedding(
+            net.ForwardSuffix(net.ForwardPrefix(input, split, precision),
+                              split, precision)
+                .values());
+        ASSERT_TRUE(labels.ok());
+        expected[frame] = *labels;
+      }
+      for (const std::size_t batch_max : {std::size_t{1}, std::size_t{16}}) {
+        SCOPED_TRACE("split " + std::to_string(split) + ", " +
+                     nn::PrecisionName(precision) + ", batch_max " +
+                     std::to_string(batch_max));
+        RuntimeConfig config = base;
+        config.cloud_batch_max = batch_max;
+        Runtime runtime(config, classifier_);
+        SessionConfig cfg = session_cfg;
+        cfg.placement = PlacementMode::kFixed;
+        cfg.fixed_split = split;
+        cfg.precision = precision;
+        std::vector<std::unique_ptr<SieveSession>> sessions;
+        for (const char* id : {"cam-a", "cam-b"}) {
+          auto session = runtime.OpenSession(id, cfg);
+          ASSERT_TRUE(session.ok());
+          sessions.push_back(std::move(*session));
+        }
+        for (const auto& frame : scene_->video.frames) {
+          for (auto& session : sessions) {
+            ASSERT_TRUE(session->PushFrame(frame).ok());
+          }
+        }
+        for (auto& session : sessions) {
+          const SessionReport report = session->Drain();
+          EXPECT_EQ(report.nn_split, split);
+          EXPECT_EQ(report.frames_delivered, inputs.size());
+          EXPECT_EQ(report.cloud_batched_frames, report.frames_delivered)
+              << "a cloud frame bypassed the batcher";
+          EXPECT_EQ(session->db().rows(), expected);
+        }
+      }
+    }
+  }
+}
+
 TEST_F(RuntimeTest, Int8SessionsRideTheirOwnBatches) {
   // Batched cloud serving at mixed precisions: the fleet batcher keys
   // batches by (split, precision), so an int8 camera's frames ride int8
-  // passes and its database matches an unbatched int8 session exactly.
+  // passes and its database matches an int8 session at size-1 flushes.
   RuntimeConfig batched_config = SmallConfig();
   batched_config.cloud_batch_max = 4;
   Runtime runtime(batched_config, classifier_);
@@ -487,7 +565,7 @@ TEST_F(RuntimeTest, Int8SessionsRideTheirOwnBatches) {
   EXPECT_EQ(int8_report.precision, nn::Precision::kInt8);
   EXPECT_GT(int8_report.cloud_batched_frames, 0u);
 
-  // Reference: the same int8 feed without batching.
+  // Reference: the same int8 feed at size-1 flushes.
   Runtime plain_runtime(SmallConfig(), classifier_);
   auto plain = plain_runtime.OpenSession("i8-plain", int8_cfg);
   ASSERT_TRUE(plain.ok());
@@ -496,7 +574,7 @@ TEST_F(RuntimeTest, Int8SessionsRideTheirOwnBatches) {
   }
   (void)(*plain)->Drain();
   EXPECT_EQ((*int8_session)->db().rows(), (*plain)->db().rows())
-      << "batched int8 results diverged from the per-frame int8 path";
+      << "batched int8 results diverged from size-1 int8 flushes";
 }
 
 }  // namespace
