@@ -13,7 +13,6 @@
 #include "common/bytes.h"
 #include "codec/encoder.h"
 #include "common/stopwatch.h"
-#include "core/seeker.h"
 #include "media/metrics.h"
 #include "synth/datasets.h"
 #include "vision/sift.h"
@@ -23,11 +22,9 @@ namespace {
 using namespace sieve;
 
 struct SpeedRow {
-  double sieve_fps;
   double sieve_disk_fps;  ///< seek via per-header fread+fseek on a file
   double mse_fps;
   double sift_fps;
-  double seek_ms_per_frame;
   double decode_ms_per_frame;
 };
 
@@ -78,22 +75,7 @@ SpeedRow RunDataset(synth::DatasetId id, std::size_t frames,
   SpeedRow row{};
   Stopwatch watch;
 
-  // --- SiEVE: seek I-frames in the compressed stream (no decode) ----------
-  {
-    const int laps = 400;
-    watch.Start();
-    std::size_t found = 0;
-    for (int i = 0; i < laps; ++i) {
-      auto report = core::SeekIFrames(encoded->bytes);
-      found += report.ok() ? report->iframes.size() : 0;
-    }
-    const double seconds = watch.ElapsedSeconds() / laps;
-    row.seek_ms_per_frame = seconds * 1e3 / double(frames);
-    row.sieve_fps = double(frames) / seconds;
-    if (found == 0) std::fprintf(stderr, "no iframes?!\n");
-  }
-
-  // --- SiEVE from disk: header hops with fread+fseek -----------------------
+  // --- SiEVE from disk: seek I-frames by header hops (no decode) -----------
   {
     const std::string path = "/tmp/sieve_table3_probe.svb";
     (void)WriteFileBytes(path, encoded->bytes);
@@ -145,8 +127,8 @@ SpeedRow RunDataset(synth::DatasetId id, std::size_t frames,
 }
 
 void Print(const char* name, const SpeedRow& row) {
-  std::printf("%-16s %11.0f %11.0f %8.1f %8.1f   %10.2f   %7.0fx %7.0fx\n",
-              name, row.sieve_fps, row.sieve_disk_fps, row.mse_fps,
+  std::printf("%-16s %11.0f %8.1f %8.1f   %10.2f   %7.0fx %7.0fx\n",
+              name, row.sieve_disk_fps, row.mse_fps,
               row.sift_fps, row.decode_ms_per_frame,
               row.sieve_disk_fps / row.mse_fps,
               row.sieve_disk_fps / row.sift_fps);
@@ -157,9 +139,8 @@ void Print(const char* name, const SpeedRow& row) {
 int main() {
   std::printf("SiEVE reproduction — Table III: event-detection speed (fps) at "
               "native resolutions\n");
-  std::printf("%-16s %11s %11s %8s %8s   %10s   %7s %7s\n", "dataset",
-              "SiEVE(mem)", "SiEVE(disk)", "MSE", "SIFT", "dec ms/f", "vs MSE",
-              "vs SIFT");
+  std::printf("%-16s %11s %8s %8s   %10s   %7s %7s\n", "dataset",
+              "SiEVE(disk)", "MSE", "SIFT", "dec ms/f", "vs MSE", "vs SIFT");
   Print("jackson_square",
         RunDataset(synth::DatasetId::kJacksonSquare, 360, 36));
   Print("coral_reef", RunDataset(synth::DatasetId::kCoralReef, 150, 12));

@@ -2,7 +2,7 @@
 //
 // The arithmetic runs through the SIMD kernel layer (common/simd/kernels.h):
 // ForwardDct/InverseDct/Quantize/Dequantize dispatch to the active table
-// (scalar, SSE2, or NEON), all of which are bit-exact with each other, so
+// (scalar or AVX2), which are bit-exact with each other, so
 // bitstreams do not depend on the dispatch choice. SIEVE_KERNEL_ARCH=scalar
 // pins the scalar reference path.
 #pragma once

@@ -1,7 +1,7 @@
 // Scalar reference kernels + the dispatch machinery. This TU (like all of
 // sieve_core) is compiled with -ffp-contract=off: the bit-exactness contract
-// across scalar/SSE2/AVX2/NEON depends on no mul+add pair being contracted
-// into an FMA on either side.
+// between the scalar and AVX2 tables depends on no mul+add pair being
+// contracted into an FMA on either side.
 #include "common/simd/kernels.h"
 
 #include <atomic>
@@ -144,9 +144,9 @@ void Dequantize8x8Scalar(const std::int32_t* in, const std::int32_t* step,
 // ------------------------------------------------------ scalar int8 GEMM --
 
 // The reference semantics for gemm_u8s8. The inner loops walk the packed-B
-// layout (k-pairs outer, columns inner) exactly like the SIMD tables;
+// layout (k-pairs outer, columns inner) exactly like the AVX2 table;
 // integer accumulation is associative for these magnitudes, so any table
-// order (including the vector tables' 4-row M tiling) is bit-identical
+// order (including the AVX2 table's 4-row M tiling) is bit-identical
 // anyway.
 void GemmU8S8Scalar(const std::uint8_t* a, int lda, int m,
                     const std::int8_t* b_packed, int k, int n_cols,
@@ -169,8 +169,8 @@ void GemmU8S8Scalar(const std::uint8_t* a, int lda, int m,
 }
 
 // Reference semantics for quantize_act_u8: one IEEE multiply, one IEEE add,
-// a truncating float->int convert, then the [0, 255] clamp. The vector
-// tables run the identical op sequence per lane.
+// a truncating float->int convert, then the [0, 255] clamp. The AVX2
+// table runs the identical op sequence per lane.
 void QuantizeActU8Scalar(const float* x, std::size_t len, float inv_scale,
                          float bias, std::uint8_t* out) {
   for (std::size_t i = 0; i < len; ++i) {
@@ -184,7 +184,7 @@ void QuantizeActU8Scalar(const float* x, std::size_t len, float inv_scale,
 // The reference semantics for gemm_f32: ikj order, so each c[i][j] starts
 // at +0.0f and takes a[i][p] * b[p][j] for p ascending, one rounded
 // multiply and one rounded add per term. No zero-skipping: a skipped
-// 0 * inf would hide the NaN every other table produces.
+// 0 * inf would hide the NaN the AVX2 table produces.
 void GemmF32Scalar(const float* a, const float* b, float* c, int m, int k,
                    int n) {
   for (int i = 0; i < m; ++i) {
@@ -206,14 +206,6 @@ const KernelTable kScalarTable = {
 };
 
 // --------------------------------------------------------------- dispatch --
-
-bool CpuSupportsSse2() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("sse2") != 0;
-#else
-  return false;
-#endif
-}
 
 bool CpuSupportsAvx2() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
@@ -247,9 +239,7 @@ void PackGemmB(const std::int8_t* b, int k, int n_cols,
 const char* KernelArchName(KernelArch arch) noexcept {
   switch (arch) {
     case KernelArch::kScalar: return "scalar";
-    case KernelArch::kSse2: return "sse2";
     case KernelArch::kAvx2: return "avx2";
-    case KernelArch::kNeon: return "neon";
   }
   return "unknown";
 }
@@ -257,44 +247,29 @@ const char* KernelArchName(KernelArch arch) noexcept {
 bool ArchCompiled(KernelArch arch) noexcept {
   switch (arch) {
     case KernelArch::kScalar: return true;
-    case KernelArch::kSse2: return Sse2KernelTable() != nullptr;
     case KernelArch::kAvx2: return Avx2KernelTable() != nullptr;
-    case KernelArch::kNeon: return NeonKernelTable() != nullptr;
   }
   return false;
 }
 
 bool ArchSupported(KernelArch arch) noexcept {
   if (!ArchCompiled(arch)) return false;
-  // A binary compiled for NEON only runs on NEON hardware; SSE2/AVX2
-  // presence is CPUID-verified so a generic x86 build stays safe on cores
-  // that lack the wider ISA.
-  if (arch == KernelArch::kSse2) return CpuSupportsSse2();
+  // AVX2 presence is CPUID-verified so a generic x86 build stays safe on
+  // cores that lack it.
   if (arch == KernelArch::kAvx2) return CpuSupportsAvx2();
   return true;
 }
 
 const KernelTable& KernelsFor(KernelArch arch) noexcept {
-  switch (arch) {
-    case KernelArch::kScalar: break;
-    case KernelArch::kSse2:
-      if (const KernelTable* t = Sse2KernelTable()) return *t;
-      break;
-    case KernelArch::kAvx2:
-      if (const KernelTable* t = Avx2KernelTable()) return *t;
-      break;
-    case KernelArch::kNeon:
-      if (const KernelTable* t = NeonKernelTable()) return *t;
-      break;
+  if (arch == KernelArch::kAvx2) {
+    if (const KernelTable* t = Avx2KernelTable()) return *t;
   }
   return kScalarTable;
 }
 
 std::vector<KernelArch> CompiledArches() {
   std::vector<KernelArch> arches{KernelArch::kScalar};
-  if (ArchCompiled(KernelArch::kSse2)) arches.push_back(KernelArch::kSse2);
   if (ArchCompiled(KernelArch::kAvx2)) arches.push_back(KernelArch::kAvx2);
-  if (ArchCompiled(KernelArch::kNeon)) arches.push_back(KernelArch::kNeon);
   return arches;
 }
 
@@ -302,18 +277,14 @@ bool KernelArchFromEnv(KernelArch* out) noexcept {
   const char* v = std::getenv("SIEVE_KERNEL_ARCH");
   if (v == nullptr) return false;
   if (std::strcmp(v, "scalar") == 0) { *out = KernelArch::kScalar; return true; }
-  if (std::strcmp(v, "sse2") == 0)   { *out = KernelArch::kSse2;   return true; }
   if (std::strcmp(v, "avx2") == 0)   { *out = KernelArch::kAvx2;   return true; }
-  if (std::strcmp(v, "neon") == 0)   { *out = KernelArch::kNeon;   return true; }
   return false;  // malformed: ignored, hardware-best wins
 }
 
 KernelArch BestArch() noexcept {
   KernelArch forced;
   if (KernelArchFromEnv(&forced) && ArchSupported(forced)) return forced;
-  if (ArchSupported(KernelArch::kNeon)) return KernelArch::kNeon;
   if (ArchSupported(KernelArch::kAvx2)) return KernelArch::kAvx2;
-  if (ArchSupported(KernelArch::kSse2)) return KernelArch::kSse2;
   return KernelArch::kScalar;
 }
 
@@ -332,20 +303,8 @@ void SetActiveKernels(KernelArch arch) noexcept {
 }
 
 KernelArch ActiveArch() noexcept {
-  const KernelTable* table = &ActiveKernels();
-  if (ArchCompiled(KernelArch::kSse2) &&
-      table == &KernelsFor(KernelArch::kSse2)) {
-    return KernelArch::kSse2;
-  }
-  if (ArchCompiled(KernelArch::kAvx2) &&
-      table == &KernelsFor(KernelArch::kAvx2)) {
-    return KernelArch::kAvx2;
-  }
-  if (ArchCompiled(KernelArch::kNeon) &&
-      table == &KernelsFor(KernelArch::kNeon)) {
-    return KernelArch::kNeon;
-  }
-  return KernelArch::kScalar;
+  return &ActiveKernels() == Avx2KernelTable() ? KernelArch::kAvx2
+                                               : KernelArch::kScalar;
 }
 
 }  // namespace sieve::simd

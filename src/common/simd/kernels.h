@@ -5,21 +5,25 @@
 //
 // Design rules (the whole point of this layer):
 //
-//  * Every kernel is BIT-EXACT across architectures. The scalar table is the
-//    reference; the SSE2/NEON tables perform the same floating-point
-//    operations in the same order (vectorized across independent *outputs*,
-//    never across a single output's accumulation), use IEEE-exact ops only
-//    (mul/add/div — no FMA, no rsqrt/rcp approximations), and replicate
-//    std::lround's round-half-away-from-zero. The library is compiled with
-//    -ffp-contract=off so the compiler cannot contract the scalar path into
-//    FMA either. Consequence: encoded bitstreams are
-//    byte-identical whichever table is active.
+//  * Two tables exist. The scalar table is the reference semantics and the
+//    fallback on every CPU without AVX2 (pre-AVX2 x86, ARM, anything else);
+//    the AVX2 table is the fast path on x86.
 //
-//  * Dispatch is compile-time gated (each arch TU compiles to a stub
-//    returning nullptr when its ISA is unavailable) plus runtime-verified
-//    (CPUID on x86). The SIEVE_KERNEL_ARCH environment variable
-//    (scalar|sse2|avx2|neon) pins any compiled-in, CPU-supported table.
-//    SetActiveKernels() overrides it for tests and tools.
+//  * Every kernel is BIT-EXACT across the two tables. The AVX2 table
+//    performs the same floating-point operations as the scalar one in the
+//    same order (vectorized across independent *outputs*, never across a
+//    single output's accumulation), uses IEEE-exact ops only (mul/add/div —
+//    no FMA, no rsqrt/rcp approximations), and replicates std::lround's
+//    round-half-away-from-zero. The library is compiled with
+//    -ffp-contract=off so the compiler cannot contract the scalar path into
+//    FMA either. Consequence: encoded bitstreams are byte-identical
+//    whichever table is active.
+//
+//  * Dispatch is compile-time gated (the AVX2 TU compiles to a stub
+//    returning nullptr off x86) plus runtime-verified (CPUID). Hardware-best
+//    is AVX2 when the CPU has it, else scalar. The SIEVE_KERNEL_ARCH
+//    environment variable (scalar|avx2) pins a compiled-in, CPU-supported
+//    table; SetActiveKernels() overrides it for tests and tools.
 //
 //  * This layer sits at the bottom of the dependency graph (raw pointers and
 //    strides only, no media/codec/nn types) so media/, codec/ and nn/ can
@@ -42,7 +46,7 @@ inline constexpr int kBlockLen = kBlockDim * kBlockDim;
 /// elements (== bytes for the uint8 SAD inputs). All pointers must be valid
 /// for the full extent they describe; transform pointers must not alias.
 struct KernelTable {
-  const char* name;  ///< "scalar" | "sse2" | "avx2" | "neon"
+  const char* name;  ///< "scalar" | "avx2"
 
   /// Sum of absolute differences over one row of `w` pixels.
   std::uint32_t (*sad_row)(const std::uint8_t* a, const std::uint8_t* b, int w);
@@ -82,7 +86,7 @@ struct KernelTable {
   /// in [0, n_cols). `a` holds m rows of k unsigned-8-bit quantized
   /// activations with row stride `lda`; `b_packed` holds signed-8-bit
   /// weights in the k-pair interleaved layout produced by PackGemmB. The
-  /// vector tables tile m (4 rows per B-panel pass) so the weight panel is
+  /// AVX2 table tiles m (4 rows per B-panel pass) so the weight panel is
   /// loaded once per tile instead of once per row — that, not the 8-bit
   /// multiplies alone, is where the int8 speedup over fp32 comes from. All
   /// arithmetic is exact 32-bit integer math (no saturating widening
@@ -98,7 +102,7 @@ struct KernelTable {
   /// values that survive the clamp (truncation equals floor once the value
   /// is >= 0, and every negative value clamps to 0 either way). The
   /// multiply and add are single IEEE float ops and the truncating convert
-  /// is the same cvtt on every lane width, so all tables produce identical
+  /// is the same cvtt on every lane width, so both tables produce identical
   /// codes. Inputs must be finite.
   void (*quantize_act_u8)(const float* x, std::size_t len, float inv_scale,
                           float bias, std::uint8_t* out);
@@ -109,12 +113,12 @@ struct KernelTable {
   /// a[i][1]*b[1][j]) + ..., every product and every partial sum rounded to
   /// float (separate multiply and add, never FMA). Tables may tile m, n and
   /// k however they like but never reorder or split one element's sum, so
-  /// every table returns identical bits.
+  /// both tables return identical bits.
   void (*gemm_f32)(const float* a, const float* b, float* c, int m, int k,
                    int n);
 };
 
-enum class KernelArch { kScalar, kSse2, kAvx2, kNeon };
+enum class KernelArch { kScalar, kAvx2 };
 
 const char* KernelArchName(KernelArch arch) noexcept;
 
@@ -122,7 +126,7 @@ const char* KernelArchName(KernelArch arch) noexcept;
 bool ArchCompiled(KernelArch arch) noexcept;
 
 /// True if the architecture is compiled in AND the running CPU supports it
-/// (CPUID-checked on x86; NEON presence is implied by compiling for it).
+/// (CPUID-checked for AVX2; scalar is always supported).
 bool ArchSupported(KernelArch arch) noexcept;
 
 /// The table for an architecture; falls back to scalar when that arch was
@@ -144,10 +148,9 @@ std::size_t PackedGemmBSize(int k, int n_cols) noexcept;
 void PackGemmB(const std::int8_t* b, int k, int n_cols,
                std::int8_t* packed) noexcept;
 
-/// Parses the SIEVE_KERNEL_ARCH environment override
-/// ("scalar"|"sse2"|"avx2"|"neon"). Returns true and writes `*out` when the
-/// variable is set to a recognized name; unset or malformed values are
-/// ignored.
+/// Parses the SIEVE_KERNEL_ARCH environment override ("scalar"|"avx2").
+/// Returns true and writes `*out` when the variable is set to a recognized
+/// name; unset or unrecognized values are ignored.
 bool KernelArchFromEnv(KernelArch* out) noexcept;
 
 /// The best supported architecture, honoring SIEVE_KERNEL_ARCH. An env

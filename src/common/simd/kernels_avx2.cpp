@@ -1,15 +1,16 @@
-// AVX2 kernel table. Same bit-exactness construction as the SSE2 one, twice
-// as wide:
+// AVX2 kernel table, bit-exact with the scalar reference by construction:
 //
 //  * SAD uses vpsadbw (_mm256_sad_epu8) — an exact integer reduction — over
-//    32-byte spans, with the 16/8/tail steps matching the SSE2 kernel.
+//    32-byte spans, then 16-byte, 8-byte and scalar tail steps.
 //  * The DCT/IDCT vectorize across all 8 *outputs* of each stage in a single
 //    ymm accumulator while each lane accumulates its inner sum in the same
 //    sequential order as the scalar loops, using only IEEE-exact
 //    _mm256_mul_ps/_mm256_add_ps (no FMA — this TU is built with
 //    -ffp-contract=off like the others, and none is written by hand).
-//  * Rounding replicates std::lround via the same truncate + exact-fraction
-//    compare as the SSE2 LroundPs, on 8 lanes.
+//  * Rounding replicates std::lround (half away from zero) via truncate +
+//    exact-fraction compare: for |v| < 2^23 both v and trunc(v) are exactly
+//    representable and their difference is exact, so the |frac| >= 0.5 test
+//    reproduces lround on the true float value.
 //  * The int8 GEMM widens u8/s8 operands to i16 and uses _mm256_madd_epi16
 //    (exact for these magnitudes) — never the saturating vpmaddubsw.
 //  * The fp32 GEMM is a 6x16 register tile that vectorizes across output
@@ -17,7 +18,8 @@
 //
 // The TU is compiled with -mavx2 on x86 (see CMakeLists.txt); dispatch is
 // CPUID-verified so the kernels never execute on a core without AVX2.
-// Elsewhere the accessor returns nullptr and the dispatcher falls back.
+// Elsewhere the accessor returns nullptr and the dispatcher falls back to
+// the scalar table.
 #include "common/simd/kernels_internal.h"
 
 #include <cstring>

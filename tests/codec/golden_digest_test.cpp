@@ -6,7 +6,7 @@
 // These digests compare the build against recorded history instead: any
 // rewrite of a hot loop that flips one analysis-cost bit, one container or
 // still byte, or one decoded pixel fails here. Every kernel dispatch
-// (SIEVE_KERNEL_ARCH=scalar|sse2|avx2) and every -march must reproduce them.
+// (SIEVE_KERNEL_ARCH=scalar|avx2) and every -march must reproduce them.
 #include <gtest/gtest.h>
 
 #include <array>

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "codec/transform.h"
@@ -30,21 +33,84 @@ std::vector<KernelArch> SimdArches() {
   return out;
 }
 
+/// Sets (or, for nullopt, unsets) SIEVE_KERNEL_ARCH for one scope and
+/// restores the caller's value afterwards.
+class ScopedArchEnv {
+ public:
+  explicit ScopedArchEnv(std::optional<std::string> value) {
+    if (const char* v = std::getenv(kVar)) saved_ = v;
+    if (value) {
+      setenv(kVar, value->c_str(), 1);
+    } else {
+      unsetenv(kVar);
+    }
+  }
+  ~ScopedArchEnv() {
+    if (saved_) {
+      setenv(kVar, saved_->c_str(), 1);
+    } else {
+      unsetenv(kVar);
+    }
+  }
+  ScopedArchEnv(const ScopedArchEnv&) = delete;
+  ScopedArchEnv& operator=(const ScopedArchEnv&) = delete;
+
+ private:
+  static constexpr const char* kVar = "SIEVE_KERNEL_ARCH";
+  std::optional<std::string> saved_;
+};
+
 TEST(KernelDispatch, ScalarAlwaysCompiledAndBestArchSupported) {
   EXPECT_TRUE(ArchCompiled(KernelArch::kScalar));
   EXPECT_TRUE(ArchSupported(BestArch()));
   const auto arches = CompiledArches();
   EXPECT_GE(arches.size(), 1u);
   EXPECT_EQ(arches.front(), KernelArch::kScalar);
-#if defined(__x86_64__)
-  // x86-64 guarantees SSE2: the vector table must exist and be selectable.
-  EXPECT_TRUE(ArchSupported(KernelArch::kSse2));
+}
+
+TEST(KernelDispatch, BestArchIsAvx2OnAvx2Hardware) {
+  ScopedArchEnv unset(std::nullopt);
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2")) {
+    EXPECT_EQ(BestArch(), KernelArch::kAvx2);
+    return;
+  }
 #endif
+  EXPECT_EQ(BestArch(), KernelArch::kScalar);
+}
+
+TEST(KernelDispatch, EnvAcceptsScalarAndAvx2Only) {
+  KernelArch hardware_best;
+  {
+    ScopedArchEnv unset(std::nullopt);
+    KernelArch parsed;
+    EXPECT_FALSE(KernelArchFromEnv(&parsed));
+    hardware_best = BestArch();
+  }
+  {
+    ScopedArchEnv pin("scalar");
+    KernelArch parsed = KernelArch::kAvx2;
+    ASSERT_TRUE(KernelArchFromEnv(&parsed));
+    EXPECT_EQ(parsed, KernelArch::kScalar);
+    EXPECT_EQ(BestArch(), KernelArch::kScalar);
+  }
+  {
+    ScopedArchEnv pin("avx2");
+    KernelArch parsed = KernelArch::kScalar;
+    ASSERT_TRUE(KernelArchFromEnv(&parsed));
+    EXPECT_EQ(parsed, KernelArch::kAvx2);
+    EXPECT_EQ(BestArch(), hardware_best);  // avx2 pin honored only if supported
+  }
+  for (const char* rejected : {"sse2", "neon", "AVX2", "avx", "", "garbage"}) {
+    ScopedArchEnv pin(rejected);
+    KernelArch parsed;
+    EXPECT_FALSE(KernelArchFromEnv(&parsed)) << '"' << rejected << '"';
+    EXPECT_EQ(BestArch(), hardware_best) << '"' << rejected << '"';
+  }
 }
 
 TEST(KernelDispatch, KernelsForFallsBackToScalarWhenNotCompiled) {
-  for (KernelArch arch :
-       {KernelArch::kScalar, KernelArch::kSse2, KernelArch::kNeon}) {
+  for (KernelArch arch : {KernelArch::kScalar, KernelArch::kAvx2}) {
     const KernelTable& table = KernelsFor(arch);
     if (!ArchCompiled(arch)) {
       EXPECT_STREQ(table.name, "scalar");

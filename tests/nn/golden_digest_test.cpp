@@ -8,7 +8,7 @@
 // digests compare the build against recorded history: one flipped float
 // bit in an embedding, a cut-point activation, a batched suffix or a
 // fitted centroid fails here. Every kernel dispatch
-// (SIEVE_KERNEL_ARCH=scalar|sse2|avx2) and every -march must reproduce them.
+// (SIEVE_KERNEL_ARCH=scalar|avx2) and every -march must reproduce them.
 #include <gtest/gtest.h>
 
 #include <cstdint>

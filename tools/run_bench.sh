@@ -27,8 +27,8 @@
 # live_query (3 streaming cameras with a reader thread hammering the
 # cross-camera query index: FindObject avg/p99 latency under ingest + index
 # update throughput), dct_sad_kernels (scalar vs SIMD A/B of the
-# dispatch-layer DCT/IDCT/quant/SAD kernels — every supported table, sse2
-# AND avx2, each bit-equality-checked against scalar), wan_chaos
+# dispatch-layer DCT/IDCT/quant/SAD kernels — the AVX2 table where the CPU
+# has it, bit-equality-checked against scalar), wan_chaos
 # (delivered-frame latency + ledger reconciliation under scripted loss),
 # fleet_scale (batched vs unbatched cloud inference across a 8/32/64-session
 # sweep, with per-camera bit-equality checks), int8_inference (int8 vs fp32
