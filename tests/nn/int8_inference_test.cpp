@@ -7,9 +7,9 @@
 //     forward — the properties the split-execution and fleet tiers rely on
 //     hold at every precision, not just fp32;
 //   * accuracy: int8 embeddings stay close to fp32 and the end-to-end
-//     top-1 prediction agreement is >= 99% on a synthetic scene (the bench
-//     gate in tools/check_bench.py enforces the same bound on real timing
-//     runs).
+//     top-1 prediction agreement is >= 99% on a synthetic scene (the
+//     perf_hotpaths int8_inference scenario gates the same bound on its
+//     timing runs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
