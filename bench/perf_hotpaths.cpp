@@ -1,7 +1,8 @@
 // Hot-path performance harness: the same-process micro-ratios the
 // end-to-end benchmark (e2e_bench/) cannot see. Encode throughput over a
 // 1/2/4-thread sweep, motion-search candidate throughput, GEMM / CNN-forward
-// arithmetic throughput, the scalar-vs-SIMD kernel A/B, int8-vs-fp32
+// arithmetic throughput, the scalar-vs-SIMD kernel A/B, the frame-parallel
+// lookahead analysis pass against its serial loop, int8-vs-fp32
 // inference, frame-level encode pipelining, and the absolute contracts on
 // trace-recorder and journal overhead. Each number is measured against its
 // serial / unpruned / naive / scalar reference IN THE SAME RUN, so every
@@ -37,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "codec/analysis.h"
 #include "codec/encoder.h"
 #include "codec/motion.h"
 #include "codec/transform.h"
@@ -49,9 +51,11 @@
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "query/service.h"
+#include "runtime/executor.h"
 #include "runtime/runtime.h"
 #include "store/journal.h"
 #include "store/recovery.h"
+#include "synth/datasets.h"
 #include "synth/scene.h"
 
 namespace {
@@ -495,7 +499,8 @@ Report BenchConvForward() {
 /// lap) and each reports its median lap, so a burst of CPU steal or a
 /// frequency step lands on both sides alike and one disturbed lap cannot
 /// move a ratio. This is the acceptance number for the SIMD kernels
-/// (>= 2.5x ForwardDct, >= 2x SAD on SIMD-capable hardware).
+/// (>= 2.5x ForwardDct, >= 2x SAD and each analysis-pass kernel on
+/// SIMD-capable hardware).
 Report BenchDctSadKernels() {
   // Scalar first: it is every column's speedup base and identity reference.
   std::vector<simd::KernelArch> arches = {simd::KernelArch::kScalar};
@@ -522,6 +527,9 @@ Report BenchDctSadKernels() {
     std::vector<std::int32_t> coeff;
     std::vector<std::int16_t> rec;
     std::uint64_t sad = 0;
+    std::uint64_t intra = 0;    ///< sum of intra_dev8x8 over the plane
+    std::uint64_t dz_sad = 0;   ///< sum of deadzone_sad8x8 over the plane
+    std::vector<std::uint8_t> half;  ///< downsample2x_row output
   };
   std::vector<Outputs> out(tables);
   for (Outputs& o : out) {
@@ -609,9 +617,50 @@ Report BenchDctSadKernels() {
     }
     out[t].sad = sum;
   });
+  // The lookahead analysis kernels over every 8x8 block of the same planes
+  // (the analysis pass's shape: a plane's worth of blocks per call site).
+  const double plane_blocks = double((w / 8) * (h / 8));
+  const std::vector<double> intra_s = interleaved([&](std::size_t t) {
+    const simd::KernelTable& table = simd::KernelsFor(arches[t]);
+    std::uint64_t sum = 0;
+    for (int p = 0; p < kPlanePasses; ++p) {
+      for (int by = 0; by + 8 <= h; by += 8) {
+        for (int bx = 0; bx + 8 <= w; bx += 8) {
+          sum += table.intra_dev8x8(pa.row(by) + bx, w);
+        }
+      }
+    }
+    out[t].intra = sum;
+  });
+  const std::vector<double> dz_sad_s = interleaved([&](std::size_t t) {
+    const simd::KernelTable& table = simd::KernelsFor(arches[t]);
+    std::uint64_t sum = 0;
+    for (int p = 0; p < kPlanePasses; ++p) {
+      for (int by = 0; by + 8 <= h; by += 8) {
+        for (int bx = 0; bx + 8 <= w; bx += 8) {
+          sum += table.deadzone_sad8x8(pa.row(by) + bx, w, pb.row(by) + bx, w,
+                                       4);
+        }
+      }
+    }
+    out[t].dz_sad = sum;
+  });
+  for (Outputs& o : out) o.half.resize(std::size_t(w / 2) * (h / 2));
+  const std::vector<double> downsample_s = interleaved([&](std::size_t t) {
+    const simd::KernelTable& table = simd::KernelsFor(arches[t]);
+    for (int p = 0; p < kPlanePasses; ++p) {
+      for (int y = 0; y < h / 2; ++y) {
+        table.downsample2x_row(pa.row(2 * y), pa.row(2 * y + 1),
+                               out[t].half.data() + std::size_t(y) * (w / 2),
+                               w / 2);
+      }
+    }
+  });
 
   const double lap_blocks = double(kBlocks) * kBlockPasses / 1e6;
   const double lap_mpix = plane_pixels * kPlanePasses / 1e6;
+  const double lap_plane_blocks = plane_blocks * kPlanePasses / 1e6;
+  const double lap_src_mpix = double(w) * h * kPlanePasses / 1e6;
   Report r;
   r.Text("active_arch", simd::KernelArchName(simd::ActiveArch()));
   for (std::size_t t = 0; t < tables; ++t) {
@@ -619,7 +668,10 @@ Report BenchDctSadKernels() {
     r.Num(arch + "_fdct_mblocks_s", lap_blocks / fdct_s[t])
         .Num(arch + "_idct_mblocks_s", lap_blocks / idct_s[t])
         .Num(arch + "_sad_mpix_s", lap_mpix / sad_s[t], 1)
-        .Num(arch + "_quant_mblocks_s", lap_blocks / quant_s[t]);
+        .Num(arch + "_quant_mblocks_s", lap_blocks / quant_s[t])
+        .Num(arch + "_intra_mblocks_s", lap_plane_blocks / intra_s[t])
+        .Num(arch + "_dz_sad_mblocks_s", lap_plane_blocks / dz_sad_s[t])
+        .Num(arch + "_downsample_mpix_s", lap_src_mpix / downsample_s[t], 1);
     if (t == 0) continue;
     // The kernel-layer gates: each vector table's speedup over scalar (the
     // band is wide because the advantage swings across CPU generations and
@@ -627,7 +679,9 @@ Report BenchDctSadKernels() {
     // ratio to ~1.0), and every output bit-equal to scalar.
     const Outputs& o = out[t];
     const bool identical = o.freq == out[0].freq && o.coeff == out[0].coeff &&
-                           o.rec == out[0].rec && o.sad == out[0].sad;
+                           o.rec == out[0].rec && o.sad == out[0].sad &&
+                           o.intra == out[0].intra &&
+                           o.dz_sad == out[0].dz_sad && o.half == out[0].half;
     r.Num(arch + "_fdct_speedup", Ratio(fdct_s[0], fdct_s[t]))
         .GateRatio(arch + "_fdct_speedup", 0.30)
         .Num(arch + "_idct_speedup", Ratio(idct_s[0], idct_s[t]))
@@ -635,10 +689,73 @@ Report BenchDctSadKernels() {
         .Num(arch + "_sad_speedup", Ratio(sad_s[0], sad_s[t]))
         .GateRatio(arch + "_sad_speedup", 0.30)
         .Num(arch + "_quant_speedup", Ratio(quant_s[0], quant_s[t]))
+        .Num(arch + "_intra_speedup", Ratio(intra_s[0], intra_s[t]))
+        .GateRatio(arch + "_intra_speedup", 0.30)
+        .Num(arch + "_dz_sad_speedup", Ratio(dz_sad_s[0], dz_sad_s[t]))
+        .GateRatio(arch + "_dz_sad_speedup", 0.30)
+        .Num(arch + "_downsample_speedup",
+             Ratio(downsample_s[0], downsample_s[t]))
+        .GateRatio(arch + "_downsample_speedup", 0.30)
         .Flag(arch + "_identical", identical)
         .GateTrue(arch + "_identical");
   }
   return r;
+}
+
+// -------------------------------------------------------------- analysis --
+
+/// The tuner's lookahead pass on one live_encode-sized feed (315 frames of
+/// 320x240 Jackson Square): the serial FrameAnalyzer loop against
+/// AnalyzeVideo's frame-parallel fan-out on the shared pool. The two sides
+/// alternate in interleaved laps (median lap each), and every lap's costs
+/// are compared bit for bit.
+Report BenchAnalysis() {
+  synth::SceneConfig cfg =
+      synth::MakeDatasetConfig(synth::DatasetId::kJacksonSquare, 315, kSeed);
+  cfg.width = 320;
+  cfg.height = 240;
+  const media::RawVideo video = synth::GenerateScene(cfg).video;
+  std::fprintf(stderr, "[analysis] 320x240, %zu frames\n", video.frames.size());
+
+  const auto serial = [&] {
+    codec::FrameAnalyzer analyzer;
+    std::vector<codec::FrameCost> costs;
+    costs.reserve(video.frames.size());
+    for (const media::Frame& frame : video.frames) {
+      costs.push_back(analyzer.Push(frame));
+    }
+    return costs;
+  };
+  const std::vector<codec::FrameCost> want = serial();
+  const auto same_bits = [&](const std::vector<codec::FrameCost>& got) {
+    return got.size() == want.size() &&
+           std::memcmp(got.data(), want.data(),
+                       want.size() * sizeof(codec::FrameCost)) == 0;
+  };
+  bool identical = same_bits(codec::AnalyzeVideo(video));  // warms the pool
+
+  constexpr int kLaps = 15;
+  std::vector<double> serial_s, parallel_s;
+  for (int lap = 0; lap < kLaps; ++lap) {
+    for (int side = 0; side < 2; ++side) {
+      const bool run_serial = (side + lap) % 2 == 0;
+      Stopwatch watch;
+      const std::vector<codec::FrameCost> costs =
+          run_serial ? serial() : codec::AnalyzeVideo(video);
+      (run_serial ? serial_s : parallel_s).push_back(watch.ElapsedSeconds());
+      identical = identical && same_bits(costs);
+    }
+  }
+  const double serial_med = Median(serial_s), parallel_med = Median(parallel_s);
+  return Report()
+      .Num("frames", double(video.frames.size()), 0)
+      .Num("pool_threads", double(runtime::SharedExecutor().concurrency()), 0)
+      .Num("serial_ms", serial_med * 1e3, 2)
+      .Num("parallel_ms", parallel_med * 1e3, 2)
+      .Num("speedup_t4", Ratio(serial_med, parallel_med))
+      .GateRatio("speedup_t4", 0.30, 4)
+      .Flag("bit_identical", identical)
+      .GateTrue("bit_identical");
 }
 
 // -------------------------------------------------------- int8 inference --
@@ -1271,6 +1388,7 @@ int main(int argc, char** argv) {
       {{"encode", BenchEncode},
        {"motion", BenchMotion},
        {"dct_sad_kernels", BenchDctSadKernels},
+       {"analysis", BenchAnalysis},
        {"gemm", BenchGemm},
        {"conv", BenchConvForward},
        {"int8_inference", BenchInt8Inference},

@@ -4,9 +4,10 @@
 #include <cmath>
 
 #include "codec/motion.h"
-#include "runtime/executor.h"
+#include "common/simd/kernels.h"
 #include "media/image_ops.h"
 #include "media/metrics.h"
+#include "runtime/executor.h"
 
 namespace sieve::codec {
 
@@ -16,28 +17,22 @@ constexpr int kAnalysisBlock = 8;  // MB size at half resolution
 constexpr int kAnalysisArea = kAnalysisBlock * kAnalysisBlock;
 static_assert((kAnalysisArea & (kAnalysisArea - 1)) == 0,
               "the exact integer intra cost needs a power-of-two block area");
+static_assert(kAnalysisBlock == simd::kBlockDim,
+              "the analysis kernels work on 8x8 blocks");
 
 /// Total absolute deviation of a block from its mean: a SATD-like proxy for
 /// intra coding cost that grows with texture.
 ///
-/// Interior blocks use the exact integer form sum|n*x - S| / n (n pixels,
-/// S their sum). It is bit-identical to accumulating |x - S/n| in doubles:
-/// n = 64 is a power of two, so every term and partial sum of that double
-/// loop is a multiple of 1/64 below 2^20 and is represented exactly.
-double BlockIntraCost(const media::Plane& p, int bx, int by) {
+/// Interior blocks use the kernel table's exact integer form sum|n*x - S| / n
+/// (n pixels, S their sum). It is bit-identical to accumulating |x - S/n| in
+/// doubles: n = 64 is a power of two, so every term and partial sum of that
+/// double loop is a multiple of 1/64 below 2^20 and is represented exactly.
+double BlockIntraCost(const simd::KernelTable& kernels, const media::Plane& p,
+                      int bx, int by) {
   constexpr int size = kAnalysisBlock;
   if (p.ContainsRect(bx, by, size, size)) {
-    int sum = 0;
-    for (int y = 0; y < size; ++y) {
-      const std::uint8_t* row = p.row(by + y) + bx;
-      for (int x = 0; x < size; ++x) sum += row[x];
-    }
-    int dev = 0;
-    for (int y = 0; y < size; ++y) {
-      const std::uint8_t* row = p.row(by + y) + bx;
-      for (int x = 0; x < size; ++x) dev += std::abs(kAnalysisArea * row[x] - sum);
-    }
-    return double(dev) / double(kAnalysisArea);
+    return double(kernels.intra_dev8x8(p.row(by) + bx, p.width())) /
+           double(kAnalysisArea);
   }
   double sum = 0;
   int n = 0;
@@ -57,24 +52,19 @@ double BlockIntraCost(const media::Plane& p, int bx, int by) {
   return dev;
 }
 
-/// SAD at a fixed motion vector with a per-pixel noise deadzone.
-double DeadzoneSad(const media::Plane& cur, const media::Plane& ref, int bx,
-                   int by, int size, MotionVector mv, int deadzone) {
+/// SAD of a block at a fixed motion vector with a per-pixel noise deadzone.
+double DeadzoneSad(const simd::KernelTable& kernels, const media::Plane& cur,
+                   const media::Plane& ref, int bx, int by, MotionVector mv,
+                   int deadzone) {
+  constexpr int size = kAnalysisBlock;
   const int sx = bx + mv.dx, sy = by + mv.dy;
-  if (cur.ContainsRect(bx, by, size, size) &&
+  if (deadzone >= 0 && deadzone <= 255 && cur.ContainsRect(bx, by, size, size) &&
       ref.ContainsRect(sx, sy, size, size)) {
-    // Integer sums below 2^53 are exact in double, so accumulating in int
-    // and converting once gives the same value as the clamped loop below.
-    int acc = 0;
-    for (int y = 0; y < size; ++y) {
-      const std::uint8_t* rc = cur.row(by + y) + bx;
-      const std::uint8_t* rr = ref.row(sy + y) + sx;
-      for (int x = 0; x < size; ++x) {
-        const int d = std::abs(int(rc[x]) - int(rr[x]));
-        if (d > deadzone) acc += d - deadzone;
-      }
-    }
-    return double(acc);
+    // Integer sums below 2^53 are exact in double, so the kernel's integer
+    // sum converted once equals the clamped loop below.
+    return double(kernels.deadzone_sad8x8(cur.row(by) + bx, cur.width(),
+                                          ref.row(sy) + sx, ref.width(),
+                                          deadzone));
   }
   double acc = 0;
   for (int y = 0; y < size; ++y) {
@@ -97,11 +87,12 @@ struct RowCost {
 RowCost AnalyzeBlockRow(const media::Plane& cur, const media::Plane* prev,
                         const AnalysisParams& params, int mbs_x, int my) {
   const int bs = kAnalysisBlock;
+  const simd::KernelTable& kernels = simd::ActiveKernels();
   RowCost out;
   MotionVector predictor{0, 0};
   for (int mx = 0; mx < mbs_x; ++mx) {
     const int bx = mx * bs, by = my * bs;
-    const double ic = BlockIntraCost(cur, bx, by) + 1.0;
+    const double ic = BlockIntraCost(kernels, cur, bx, by) + 1.0;
     out.intra += ic;
     if (prev != nullptr) {
       const MotionResult mr =
@@ -111,7 +102,7 @@ RowCost AnalyzeBlockRow(const media::Plane& cur, const media::Plane* prev,
       // Residual energy at the chosen vector, noise-tolerant; a real
       // encoder would fall back to intra coding for an MB whose inter
       // cost exceeds its intra cost, so clamp identically to x264.
-      const double dz_sad = DeadzoneSad(cur, *prev, bx, by, bs, mr.mv,
+      const double dz_sad = DeadzoneSad(kernels, cur, *prev, bx, by, mr.mv,
                                         params.noise_deadzone);
       out.inter += std::min(dz_sad, ic);
     }
@@ -148,11 +139,17 @@ FrameCost CostsBetween(const media::Plane& cur, const media::Plane* prev,
   return out;
 }
 
+/// The plane the costs are computed on: the half-resolution luma, or the
+/// full-resolution luma itself.
+media::Plane AnalysisPlane(const media::Frame& frame,
+                           const AnalysisParams& params) {
+  return params.half_resolution ? media::Downsample2x(frame.y()) : frame.y();
+}
+
 }  // namespace
 
 FrameCost FrameAnalyzer::Push(const media::Frame& frame) {
-  media::Plane cur =
-      params_.half_resolution ? media::Downsample2x(frame.y()) : frame.y();
+  media::Plane cur = AnalysisPlane(frame, params_);
   const FrameCost cost =
       CostsBetween(cur, has_prev_ ? &prev_ : nullptr, params_, executor_);
   prev_ = std::move(cur);
@@ -167,10 +164,22 @@ void FrameAnalyzer::Reset() {
 
 std::vector<FrameCost> AnalyzeVideo(const media::RawVideo& video,
                                     const AnalysisParams& params) {
-  std::vector<FrameCost> costs;
-  costs.reserve(video.frames.size());
-  FrameAnalyzer analyzer(params);
-  for (const auto& frame : video.frames) costs.push_back(analyzer.Push(frame));
+  // Frame i's cost reads only the analysis planes of frames i - 1 and i, so
+  // the pass fans out over frames in two phases: every plane once, then
+  // every cost. Each cost is the serial FrameAnalyzer's own computation
+  // (rows summed in row order), so the result is bit-identical to pushing
+  // the frames one by one.
+  const std::size_t n = video.frames.size();
+  runtime::Executor& executor = runtime::SharedExecutor();
+  std::vector<media::Plane> planes(n);
+  executor.ParallelFor(n, [&](std::size_t i) {
+    planes[i] = AnalysisPlane(video.frames[i], params);
+  });
+  std::vector<FrameCost> costs(n);
+  executor.ParallelFor(n, [&](std::size_t i) {
+    costs[i] = CostsBetween(planes[i], i > 0 ? &planes[i - 1] : nullptr,
+                            params, nullptr);
+  });
   return costs;
 }
 

@@ -17,7 +17,18 @@
 // construction.
 //
 // Like x264's lookahead, analysis runs on half-resolution frames with a
-// small diamond search.
+// small diamond search. Its three inner loops (block texture, deadzone SAD
+// and the 2x decimation) are simd::KernelTable entries, so the offline pass
+// and the live encoder's per-frame Push share the same kernels.
+//
+// Two ways to go parallel, one per caller:
+//   * AnalyzeVideo (the tuner's offline pass over a whole history) fans out
+//     over frames on runtime::SharedExecutor(): every frame is downsampled
+//     once, then frame i's cost is computed from the (i - 1, i) pair.
+//   * FrameAnalyzer::set_executor (the streaming encoder, which sees one
+//     frame at a time) fans one frame's block rows out instead.
+// Both reduce in the serial loop's order, so costs are bit-identical to
+// pushing the frames one by one through a serial FrameAnalyzer.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +62,9 @@ struct AnalysisParams {
 };
 
 /// Analysis costs for every frame of a video (frame 0 gets inter == intra:
-/// it has no predecessor and always becomes an I-frame anyway).
+/// it has no predecessor and always becomes an I-frame anyway). Runs frame-
+/// parallel on runtime::SharedExecutor() (inline when called from one of its
+/// workers); the result equals a serial FrameAnalyzer loop bit for bit.
 std::vector<FrameCost> AnalyzeVideo(const media::RawVideo& video,
                                     const AnalysisParams& params = {});
 

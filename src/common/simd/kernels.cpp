@@ -199,10 +199,51 @@ void GemmF32Scalar(const float* a, const float* b, float* c, int m, int k,
   }
 }
 
+// ------------------------------------------------- scalar analysis pass --
+
+std::uint32_t IntraDev8x8Scalar(const std::uint8_t* p, int stride) {
+  int sum = 0;
+  for (int y = 0; y < kBlockDim; ++y) {
+    const std::uint8_t* row = p + std::ptrdiff_t(y) * stride;
+    for (int x = 0; x < kBlockDim; ++x) sum += row[x];
+  }
+  int dev = 0;
+  for (int y = 0; y < kBlockDim; ++y) {
+    const std::uint8_t* row = p + std::ptrdiff_t(y) * stride;
+    for (int x = 0; x < kBlockDim; ++x) dev += std::abs(kBlockLen * row[x] - sum);
+  }
+  return std::uint32_t(dev);
+}
+
+std::uint32_t DeadzoneSad8x8Scalar(const std::uint8_t* a, int a_stride,
+                                   const std::uint8_t* b, int b_stride,
+                                   int deadzone) {
+  std::uint32_t acc = 0;
+  for (int y = 0; y < kBlockDim; ++y) {
+    const std::uint8_t* ra = a + std::ptrdiff_t(y) * a_stride;
+    const std::uint8_t* rb = b + std::ptrdiff_t(y) * b_stride;
+    for (int x = 0; x < kBlockDim; ++x) {
+      const int d = std::abs(int(ra[x]) - int(rb[x]));
+      if (d > deadzone) acc += std::uint32_t(d - deadzone);
+    }
+  }
+  return acc;
+}
+
+void Downsample2xRowScalar(const std::uint8_t* r0, const std::uint8_t* r1,
+                           std::uint8_t* out, int w) {
+  for (int x = 0; x < w; ++x) {
+    const unsigned sum =
+        unsigned(r0[2 * x]) + r0[2 * x + 1] + r1[2 * x] + r1[2 * x + 1];
+    out[x] = static_cast<std::uint8_t>((sum + 2) / 4);
+  }
+}
+
 const KernelTable kScalarTable = {
     "scalar",        SadRowScalar,      Sad16xHScalar,      SadBoundedScalar,
     Fdct8x8Scalar,   Idct8x8Scalar,     Quantize8x8Scalar,  Dequantize8x8Scalar,
-    GemmU8S8Scalar,  QuantizeActU8Scalar, GemmF32Scalar,
+    GemmU8S8Scalar,  QuantizeActU8Scalar, GemmF32Scalar,    IntraDev8x8Scalar,
+    DeadzoneSad8x8Scalar, Downsample2xRowScalar,
 };
 
 // --------------------------------------------------------------- dispatch --

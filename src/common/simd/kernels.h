@@ -1,7 +1,8 @@
 // SIMD kernel layer: runtime-dispatched implementations of the innermost
 // loops — block SAD and the 8x8 DCT/IDCT + quantizer pair that profiling
-// puts at the top of a motion-heavy encode, and the int8 and fp32 GEMMs
-// under every NN conv.
+// puts at the top of a motion-heavy encode, the lookahead analysis pass's
+// block texture, deadzone SAD and 2x decimation, and the int8 and fp32
+// GEMMs under every NN conv.
 //
 // Design rules (the whole point of this layer):
 //
@@ -116,6 +117,23 @@ struct KernelTable {
   /// both tables return identical bits.
   void (*gemm_f32)(const float* a, const float* b, float* c, int m, int k,
                    int n);
+
+  /// Texture of one 8x8 block: sum over its 64 pixels of |64 * x - S|, S the
+  /// block's pixel sum (64 times the total absolute deviation from the mean,
+  /// the lookahead's exact integer intra-cost form). At most 64 * 64 * 255.
+  std::uint32_t (*intra_dev8x8)(const std::uint8_t* p, int stride);
+
+  /// Noise-tolerant SAD of two 8x8 blocks: sum of max(|a - b| - deadzone, 0)
+  /// over the 64 pixel pairs. `deadzone` must be in [0, 255].
+  std::uint32_t (*deadzone_sad8x8)(const std::uint8_t* a, int a_stride,
+                                   const std::uint8_t* b, int b_stride,
+                                   int deadzone);
+
+  /// One output row of a 2x2-average decimation: out[x] = (r0[2x] +
+  /// r0[2x+1] + r1[2x] + r1[2x+1] + 2) / 4 for x in [0, w). Reads 2w bytes of
+  /// each source row.
+  void (*downsample2x_row)(const std::uint8_t* r0, const std::uint8_t* r1,
+                           std::uint8_t* out, int w);
 };
 
 enum class KernelArch { kScalar, kAvx2 };

@@ -15,6 +15,11 @@
 //    (exact for these magnitudes) — never the saturating vpmaddubsw.
 //  * The fp32 GEMM is a 6x16 register tile that vectorizes across output
 //    columns and keeps each element's k-ascending mul-then-add order.
+//  * The analysis-pass kernels are integer-only: block texture widens to
+//    int16 (every term fits) and reduces with vpmaddwd, the deadzone SAD is
+//    two saturating byte subtracts (exact for a deadzone in [0, 255]) under
+//    vpsadbw, and the 2x decimation sums pixel pairs with vpmaddubsw
+//    (pair sums <= 510 never saturate) before the rounding shift.
 //
 // The TU is compiled with -mavx2 on x86 (see CMakeLists.txt); dispatch is
 // CPUID-verified so the kernels never execute on a core without AVX2.
@@ -572,10 +577,116 @@ void GemmF32Avx2(const float* a, const float* b, float* c, int m, int k,
   }
 }
 
+// ---------------------------------------------------------- analysis pass --
+
+/// Four 8-pixel rows of a block in one ymm (row r in 64-bit lane r).
+inline __m128i Load2Rows8(const std::uint8_t* p, std::ptrdiff_t stride) {
+  return _mm_unpacklo_epi64(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)),
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p + stride)));
+}
+
+inline __m256i Load4Rows8(const std::uint8_t* p, int stride) {
+  return _mm256_inserti128_si256(
+      _mm256_castsi128_si256(Load2Rows8(p, stride)),
+      Load2Rows8(p + 2 * std::ptrdiff_t(stride), stride), 1);
+}
+
+inline std::uint32_t HorizontalSum32(__m256i v) {
+  __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(v),
+                              _mm256_extracti128_si256(v, 1));
+  sum = _mm_add_epi32(sum, _mm_srli_si128(sum, 8));
+  sum = _mm_add_epi32(sum, _mm_srli_si128(sum, 4));
+  return std::uint32_t(_mm_cvtsi128_si32(sum));
+}
+
+/// |64 * x - s| summed pairwise into int32 lanes, for the 16 pixels of one
+/// 128-bit half. Every term fits int16: 64 * 255 and s are both <= 16320.
+inline __m256i IntraDevHalf(__m128i pixels, __m256i s) {
+  const __m256i scaled = _mm256_slli_epi16(_mm256_cvtepu8_epi16(pixels), 6);
+  return _mm256_madd_epi16(_mm256_abs_epi16(_mm256_sub_epi16(scaled, s)),
+                           _mm256_set1_epi16(1));
+}
+
+std::uint32_t IntraDev8x8Avx2(const std::uint8_t* p, int stride) {
+  const __m256i top = Load4Rows8(p, stride);
+  const __m256i bottom = Load4Rows8(p + std::ptrdiff_t(4) * stride, stride);
+  const __m256i zero = _mm256_setzero_si256();
+  const std::uint64_t sum = HorizontalSad64(
+      _mm256_add_epi64(_mm256_sad_epu8(top, zero), _mm256_sad_epu8(bottom, zero)));
+  const __m256i s = _mm256_set1_epi16(std::int16_t(sum));
+  __m256i acc = IntraDevHalf(_mm256_castsi256_si128(top), s);
+  acc = _mm256_add_epi32(acc, IntraDevHalf(_mm256_extracti128_si256(top, 1), s));
+  acc = _mm256_add_epi32(acc, IntraDevHalf(_mm256_castsi256_si128(bottom), s));
+  acc = _mm256_add_epi32(acc,
+                         IntraDevHalf(_mm256_extracti128_si256(bottom, 1), s));
+  return HorizontalSum32(acc);
+}
+
+/// max(|a - b| - dz, 0) per byte: saturating subtracts are exact here.
+inline __m256i DeadzoneAbsDiff(__m256i a, __m256i b, __m256i dz) {
+  const __m256i diff =
+      _mm256_or_si256(_mm256_subs_epu8(a, b), _mm256_subs_epu8(b, a));
+  return _mm256_subs_epu8(diff, dz);
+}
+
+std::uint32_t DeadzoneSad8x8Avx2(const std::uint8_t* a, int a_stride,
+                                 const std::uint8_t* b, int b_stride,
+                                 int deadzone) {
+  const __m256i dz = _mm256_set1_epi8(char(std::uint8_t(deadzone)));
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i top = DeadzoneAbsDiff(Load4Rows8(a, a_stride),
+                                      Load4Rows8(b, b_stride), dz);
+  const __m256i bottom =
+      DeadzoneAbsDiff(Load4Rows8(a + std::ptrdiff_t(4) * a_stride, a_stride),
+                      Load4Rows8(b + std::ptrdiff_t(4) * b_stride, b_stride), dz);
+  return std::uint32_t(HorizontalSad64(
+      _mm256_add_epi64(_mm256_sad_epu8(top, zero), _mm256_sad_epu8(bottom, zero))));
+}
+
+/// (pair sums of 32 bytes of r0 + those of r1 + 2) >> 2: 16 rounded quad
+/// averages in int16 lanes (pair sums <= 510, so vpmaddubsw never saturates).
+inline __m256i QuadAverages(const std::uint8_t* r0, const std::uint8_t* r1) {
+  const __m256i ones = _mm256_set1_epi8(1);
+  const __m256i sum = _mm256_add_epi16(
+      _mm256_maddubs_epi16(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r0)), ones),
+      _mm256_maddubs_epi16(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r1)), ones));
+  return _mm256_srli_epi16(_mm256_add_epi16(sum, _mm256_set1_epi16(2)), 2);
+}
+
+void Downsample2xRowAvx2(const std::uint8_t* r0, const std::uint8_t* r1,
+                         std::uint8_t* out, int w) {
+  int x = 0;
+  for (; x + 32 <= w; x += 32) {
+    // packus interleaves 128-bit lanes; the permute puts them back in order.
+    const __m256i packed =
+        _mm256_packus_epi16(QuadAverages(r0 + 2 * x, r1 + 2 * x),
+                            QuadAverages(r0 + 2 * x + 32, r1 + 2 * x + 32));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + x),
+                        _mm256_permute4x64_epi64(packed, 0xd8));
+  }
+  if (x + 16 <= w) {
+    const __m256i avg = QuadAverages(r0 + 2 * x, r1 + 2 * x);
+    const __m256i packed =
+        _mm256_permute4x64_epi64(_mm256_packus_epi16(avg, avg), 0xd8);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x),
+                     _mm256_castsi256_si128(packed));
+    x += 16;
+  }
+  for (; x < w; ++x) {
+    const unsigned sum =
+        unsigned(r0[2 * x]) + r0[2 * x + 1] + r1[2 * x] + r1[2 * x + 1];
+    out[x] = static_cast<std::uint8_t>((sum + 2) / 4);
+  }
+}
+
 const KernelTable kAvx2Table = {
     "avx2",        SadRowAvx2,      Sad16xHAvx2,      SadBoundedAvx2,
     Fdct8x8Avx2,   Idct8x8Avx2,     Quantize8x8Avx2,  Dequantize8x8Avx2,
-    GemmU8S8Avx2,  QuantizeActU8Avx2, GemmF32Avx2,
+    GemmU8S8Avx2,  QuantizeActU8Avx2, GemmF32Avx2,    IntraDev8x8Avx2,
+    DeadzoneSad8x8Avx2, Downsample2xRowAvx2,
 };
 
 }  // namespace

@@ -5,10 +5,12 @@
 // F1 of event-detection accuracy and filtering rate, and stores the argmax
 // in a per-camera lookup table used for all future live encoding.
 //
-// One analysis pass computes per-frame costs; every grid cell then replays
-// keyframe placement in O(frames) — the encoder makes the identical
-// decision inline, so tuner predictions and real encodes agree exactly
-// (tested in tests/core/tuner_test.cpp).
+// One analysis pass computes per-frame costs (codec::AnalyzeVideo, frame-
+// parallel on the shared pool); every grid cell then replays keyframe
+// placement in O(frames) — the encoder makes the identical decision inline,
+// so tuner predictions and real encodes agree exactly (tested in
+// tests/core/tuner_test.cpp). Tuning several cameras from shared-pool tasks
+// is safe: the nested analysis runs inline on the calling worker.
 #pragma once
 
 #include <map>

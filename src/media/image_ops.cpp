@@ -4,6 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "common/simd/kernels.h"
+
 namespace sieve::media {
 
 namespace {
@@ -135,17 +137,13 @@ Plane Downsample2x(const Plane& src) {
   // Every 2x2 quad lies inside the plane except on a source one pixel wide
   // or high: only that ragged last column or row reads through the clamp.
   const int inner_w = src.width() / 2, inner_h = src.height() / 2;
+  const simd::KernelTable& kernels = simd::ActiveKernels();
   for (int y = 0; y < h; ++y) {
-    std::uint8_t* out = dst.row(y);
     int x = 0;
     if (y < inner_h) {
-      const std::uint8_t* r0 = src.row(2 * y);
-      const std::uint8_t* r1 = src.row(2 * y + 1);
-      for (; x < inner_w; ++x) {
-        const unsigned sum = unsigned(r0[2 * x]) + r0[2 * x + 1] + r1[2 * x] +
-                             r1[2 * x + 1];
-        out[x] = static_cast<std::uint8_t>((sum + 2) / 4);
-      }
+      kernels.downsample2x_row(src.row(2 * y), src.row(2 * y + 1), dst.row(y),
+                               inner_w);
+      x = inner_w;
     }
     for (; x < w; ++x) {
       const int sx = x * 2, sy = y * 2;

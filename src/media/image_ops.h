@@ -19,7 +19,8 @@ Plane BoxBlur(const Plane& src, int radius);
 /// Separable Gaussian blur with given sigma (sigma<=0 returns a copy).
 Plane GaussianBlur(const Plane& src, double sigma);
 
-/// 2x decimation with 2x2 averaging (used by the SIFT pyramid).
+/// 2x decimation with 2x2 averaging (the lookahead's analysis scale and the
+/// SIFT pyramid).
 Plane Downsample2x(const Plane& src);
 
 /// Sobel gradients; outputs are per-pixel dx, dy in [-1020, 1020] packed as

@@ -7,6 +7,13 @@
 
 namespace sieve::runtime {
 
+namespace {
+
+/// The pool whose worker the current thread is (null off every pool).
+thread_local const ThreadPoolExecutor* tls_owner = nullptr;
+
+}  // namespace
+
 ThreadPoolExecutor::ThreadPoolExecutor(std::size_t threads) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(threads);
@@ -25,6 +32,7 @@ ThreadPoolExecutor::~ThreadPoolExecutor() {
 }
 
 void ThreadPoolExecutor::WorkerLoop() {
+  tls_owner = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -41,6 +49,13 @@ void ThreadPoolExecutor::WorkerLoop() {
 void ThreadPoolExecutor::ParallelFor(
     std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
+  if (tls_owner == this) {
+    // Nested call from one of our own workers: queuing the chunks and
+    // waiting would park every worker on its latch with the chunks queued
+    // behind them. The calling worker runs the loop itself instead.
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
   // A few chunks per worker balance uneven iterations; each chunk pulls
   // indices from a shared counter until the range is exhausted.
   const std::size_t chunks = std::min(n, workers_.size() * 4);

@@ -36,7 +36,8 @@ class Executor {
 
   /// Run fn(i) for every i in [0, n); returns when all iterations finished.
   /// Iterations may run on pool threads in any order and must not block on
-  /// work scheduled through the same executor.
+  /// work scheduled through the same executor; an iteration may itself call
+  /// ParallelFor on it (the nested loop runs on the calling thread).
   virtual void ParallelFor(std::size_t n,
                            const std::function<void(std::size_t)>& fn) = 0;
 
@@ -66,7 +67,9 @@ class SerialExecutor final : public Executor {
 /// A fixed-size worker pool. `threads == 0` sizes the pool to the hardware
 /// concurrency. ParallelFor hands out indices to the workers in chunks and
 /// blocks the caller until every iteration has run; an exception thrown by
-/// an iteration is rethrown on the caller.
+/// an iteration is rethrown on the caller. A ParallelFor issued from one of
+/// this pool's own workers (an iteration that itself fans out) runs inline
+/// on that worker, so nested loops on one pool cannot deadlock.
 class ThreadPoolExecutor final : public Executor {
  public:
   explicit ThreadPoolExecutor(std::size_t threads = 0);

@@ -182,13 +182,13 @@ std::vector<SiftKeypoint> ExtractSift(const media::Plane& luma,
 SiftMatchResult MatchSift(const std::vector<SiftKeypoint>& a,
                           const std::vector<SiftKeypoint>& b, float ratio) {
   SiftMatchResult result;
-  result.candidates = std::min(a.size(), b.size());
-  if (result.candidates == 0) {
+  if (a.empty() || b.empty()) {
     // Featureless frames: treat as unchanged (both empty) or changed (one
     // side suddenly has features).
     result.similarity = a.size() == b.size() ? 1.0 : 0.0;
     return result;
   }
+  result.candidates = a.size();
   for (const auto& ka : a) {
     float best = std::numeric_limits<float>::max();
     float second = std::numeric_limits<float>::max();
@@ -206,10 +206,13 @@ SiftMatchResult MatchSift(const std::vector<SiftKeypoint>& a,
         second = dist;
       }
     }
-    if (second > 0 && best < ratio * ratio * second) ++result.matches;
+    // The ratio test needs a second neighbour: against a lone keypoint the
+    // nearest one is the match.
+    if (b.size() < 2 || (second > 0 && best < ratio * ratio * second)) {
+      ++result.matches;
+    }
   }
-  result.similarity =
-      double(result.matches) / double(std::max<std::size_t>(1, result.candidates));
+  result.similarity = double(result.matches) / double(result.candidates);
   return result;
 }
 

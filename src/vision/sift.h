@@ -44,14 +44,15 @@ std::vector<SiftKeypoint> ExtractSift(const media::Plane& luma,
                                       const SiftParams& params = {});
 
 struct SiftMatchResult {
-  std::size_t matches = 0;      ///< ratio-test survivors
-  std::size_t candidates = 0;   ///< min(|a|, |b|)
-  /// Fraction of possible matches that survived; 1.0 when both frames are
-  /// featureless (nothing changed as far as SIFT can tell).
+  std::size_t matches = 0;      ///< keypoints of `a` that found a match
+  std::size_t candidates = 0;   ///< |a| (0 when either side is empty)
+  /// matches / candidates, in [0, 1]; 1.0 when both frames are featureless
+  /// (nothing changed as far as SIFT can tell), 0.0 when only one is.
   double similarity = 1.0;
 };
 
-/// Brute-force nearest-neighbour matching with Lowe's ratio test.
+/// Brute-force nearest-neighbour matching of every keypoint of `a` against
+/// `b` with Lowe's ratio test (applied when `b` has at least two keypoints).
 SiftMatchResult MatchSift(const std::vector<SiftKeypoint>& a,
                           const std::vector<SiftKeypoint>& b,
                           float ratio = 0.8f);

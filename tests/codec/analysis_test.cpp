@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "codec/motion.h"
 #include "common/rng.h"
 #include "media/image_ops.h"
+#include "runtime/executor.h"
 #include "synth/scene.h"
 
 namespace sieve::codec {
@@ -96,15 +100,68 @@ TEST(Analysis, QuietFramesCheaperThanEventFrames) {
       << "object transitions must stand out of the quiet-frame noise floor";
 }
 
-TEST(Analysis, StreamingAnalyzerMatchesBatch) {
-  const auto scene = TestScene();
-  const auto batch = AnalyzeVideo(scene.video);
+std::vector<FrameCost> SerialCosts(const media::RawVideo& video) {
   FrameAnalyzer analyzer;
-  for (std::size_t f = 0; f < scene.video.frames.size(); ++f) {
-    const FrameCost cost = analyzer.Push(scene.video.frames[f]);
-    EXPECT_DOUBLE_EQ(cost.intra_cost, batch[f].intra_cost) << "frame " << f;
-    EXPECT_DOUBLE_EQ(cost.inter_cost, batch[f].inter_cost) << "frame " << f;
+  std::vector<FrameCost> costs;
+  for (const media::Frame& frame : video.frames) {
+    costs.push_back(analyzer.Push(frame));
   }
+  return costs;
+}
+
+/// Bit-for-bit equality (EXPECT_DOUBLE_EQ would forgive 4 ulps).
+void ExpectSameBits(const std::vector<FrameCost>& got,
+                    const std::vector<FrameCost>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t f = 0; f < got.size(); ++f) {
+    EXPECT_EQ(std::memcmp(&got[f].intra_cost, &want[f].intra_cost, sizeof(double)), 0)
+        << "frame " << f << ": " << got[f].intra_cost << " vs " << want[f].intra_cost;
+    EXPECT_EQ(std::memcmp(&got[f].inter_cost, &want[f].inter_cost, sizeof(double)), 0)
+        << "frame " << f << ": " << got[f].inter_cost << " vs " << want[f].inter_cost;
+  }
+}
+
+/// 102x70 analyses at 51x35: odd-sized planes whose last block column and
+/// row take the clamped border paths.
+synth::SyntheticVideo RaggedScene() {
+  synth::SceneConfig c;
+  c.width = 102;
+  c.height = 70;
+  c.num_frames = 40;
+  c.seed = 11;
+  c.mean_gap_seconds = 0.3;
+  c.min_gap_seconds = 0.1;
+  c.jitter_px = 2;
+  c.noise_sigma = 2.5;
+  return synth::GenerateScene(c);
+}
+
+TEST(Analysis, FrameParallelBatchMatchesSerialStreamingLoop) {
+  // Lengths 1-3 leave pool workers without a frame; 315 frames is one
+  // tuning feed.
+  std::vector<synth::SyntheticVideo> scenes;
+  for (std::size_t frames : {1, 2, 3, 315}) {
+    scenes.push_back(TestScene(3, frames));
+  }
+  scenes.push_back(RaggedScene());
+  for (const synth::SyntheticVideo& scene : scenes) {
+    SCOPED_TRACE(std::to_string(scene.video.frames.size()) + " frames of " +
+                 std::to_string(scene.video.frames[0].width()) + "x" +
+                 std::to_string(scene.video.frames[0].height()));
+    ExpectSameBits(AnalyzeVideo(scene.video), SerialCosts(scene.video));
+  }
+}
+
+TEST(Analysis, BatchNestedInSharedPoolTasksMatchesSerialLoop) {
+  // Tuning several cameras at once from shared-pool tasks: AnalyzeVideo's
+  // own fan-out on the same pool runs inline instead of deadlocking.
+  const auto scene = RaggedScene();
+  const std::vector<FrameCost> want = SerialCosts(scene.video);
+  std::vector<std::vector<FrameCost>> got(6);
+  runtime::SharedExecutor().ParallelFor(got.size(), [&](std::size_t i) {
+    got[i] = AnalyzeVideo(scene.video);
+  });
+  for (const auto& costs : got) ExpectSameBits(costs, want);
 }
 
 /// Per-pixel reference for FrameAnalyzer's costs on analysis-scale planes:

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -308,6 +309,102 @@ TEST(KernelEquivalence, Sad16xHAndBoundedRowGranularValues) {
       }
     }
   }
+}
+
+// ----------------------------------------------------------- analysis pass --
+
+TEST(KernelEquivalence, AnalysisBlockKernelsOnInteriorAndBorderBlocks) {
+  const KernelTable& scalar = KernelsFor(KernelArch::kScalar);
+  // A 37x29 plane sized exactly to its pixels: the blocks at the last row
+  // and column read its final bytes, and the odd stride misaligns rows.
+  const int w = 37, h = 29;
+  Rng rng(108);
+  std::vector<std::uint8_t> a(std::size_t(w) * h), b(a.size());
+  for (int trial = 0; trial < 4; ++trial) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      switch (trial) {
+        case 0:  // noise
+          a[i] = std::uint8_t(rng.UniformInt(0, 255));
+          b[i] = std::uint8_t(rng.UniformInt(0, 255));
+          break;
+        case 1:  // small differences, where the deadzone bites
+          a[i] = std::uint8_t(rng.UniformInt(100, 140));
+          b[i] = std::uint8_t(std::clamp(a[i] + rng.UniformInt(-6, 6), 0, 255));
+          break;
+        case 2:  // extremes: checkerboard 0/255 against its inverse
+          a[i] = (i + i / w) % 2 ? 255 : 0;
+          b[i] = std::uint8_t(255 - a[i]);
+          break;
+        default:  // flat
+          a[i] = 200;
+          b[i] = 200;
+      }
+    }
+    for (KernelArch arch : SimdArches()) {
+      const KernelTable& simd = KernelsFor(arch);
+      for (int y = 0; y + kBlockDim <= h; ++y) {
+        for (int x = 0; x + kBlockDim <= w; ++x) {
+          const std::uint8_t* pa = a.data() + std::size_t(y) * w + x;
+          // The reference block sits at the mirrored position, so corner
+          // blocks meet interior ones.
+          const std::uint8_t* pb = b.data() +
+                                   std::size_t(h - kBlockDim - y) * w +
+                                   (w - kBlockDim - x);
+          ASSERT_EQ(scalar.intra_dev8x8(pa, w), simd.intra_dev8x8(pa, w))
+              << KernelArchName(arch) << " trial " << trial << " at " << x
+              << "," << y;
+          for (int dz : {0, 1, 4, 17, 254, 255}) {
+            ASSERT_EQ(scalar.deadzone_sad8x8(pa, w, pb, w, dz),
+                      simd.deadzone_sad8x8(pa, w, pb, w, dz))
+                << KernelArchName(arch) << " trial " << trial << " at " << x
+                << "," << y << " deadzone " << dz;
+          }
+        }
+      }
+    }
+  }
+  // Spot values of the reference itself: a flat block has no texture, the
+  // checkerboard the most, and deadzone 255 hides every difference.
+  EXPECT_EQ(scalar.intra_dev8x8(a.data(), w), 0u);
+  std::vector<std::uint8_t> checker(kBlockLen);
+  for (int i = 0; i < kBlockLen; ++i) checker[i] = (i + i / 8) % 2 ? 255 : 0;
+  EXPECT_EQ(scalar.intra_dev8x8(checker.data(), 8), 64u * 64u * 255u / 2u);
+  std::vector<std::uint8_t> zeros(kBlockLen, 0);
+  EXPECT_EQ(scalar.deadzone_sad8x8(checker.data(), 8, zeros.data(), 8, 255), 0u);
+  EXPECT_EQ(scalar.deadzone_sad8x8(checker.data(), 8, zeros.data(), 8, 0),
+            32u * 255u);
+}
+
+TEST(KernelEquivalence, Downsample2xRowAllWidths) {
+  const KernelTable& scalar = KernelsFor(KernelArch::kScalar);
+  Rng rng(109);
+  for (KernelArch arch : SimdArches()) {
+    const KernelTable& simd = KernelsFor(arch);
+    for (int trial = 0; trial < 20; ++trial) {
+      // Widths 1..100 cover the 32- and 16-output vector steps and the
+      // scalar tail; the source rows end exactly at their last read byte.
+      for (int w = 1; w <= 100; ++w) {
+        const int off = trial % 3;  // misalign the loads and the store
+        std::vector<std::uint8_t> r0(std::size_t(2 * w + off)), r1(r0.size());
+        for (auto& v : r0) v = std::uint8_t(rng.UniformInt(0, 255));
+        for (auto& v : r1) v = std::uint8_t(trial == 1 ? 255 : rng.UniformInt(0, 255));
+        if (trial == 1) std::fill(r0.begin(), r0.end(), 255);  // saturation edge
+        // One canary byte past the row: no table may write beyond w.
+        std::vector<std::uint8_t> want(std::size_t(w + off + 1), 0xA5),
+            got(want.size(), 0xA5);
+        scalar.downsample2x_row(r0.data() + off, r1.data() + off,
+                                want.data() + off, w);
+        simd.downsample2x_row(r0.data() + off, r1.data() + off,
+                              got.data() + off, w);
+        ASSERT_EQ(got, want) << KernelArchName(arch) << " width " << w;
+      }
+    }
+  }
+  const std::uint8_t r0[] = {1, 2, 255, 255}, r1[] = {0, 0, 255, 254};
+  std::uint8_t out[2] = {};
+  scalar.downsample2x_row(r0, r1, out, 2);
+  EXPECT_EQ(out[0], 1);    // (3 + 2) / 4
+  EXPECT_EQ(out[1], 255);  // (1019 + 2) / 4
 }
 
 // --------------------------------------------------------------- fp32 GEMM --

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -53,6 +56,32 @@ TEST(Executor, SpawnWorkerIsDedicatedThread) {
   EXPECT_EQ(sum.load(), 45u);
   release.store(true);
   worker.join();
+}
+
+TEST(ThreadPoolExecutor, NestedParallelForOnTheSamePoolCompletes) {
+  // Two workers, four outer iterations each fanning out four inner ones on
+  // the same pool: queued inner chunks behind workers parked on their
+  // latches would hang forever, so the run is bounded by a deadline.
+  ThreadPoolExecutor exec(2);
+  std::atomic<int> inner{0};
+  std::atomic<bool> finished{false};
+  std::thread runner([&] {
+    exec.ParallelFor(4, [&](std::size_t) {
+      exec.ParallelFor(4, [&](std::size_t) { ++inner; });
+    });
+    finished.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!finished.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!finished.load()) {
+    // The parked workers can never be joined: fail the binary outright.
+    std::fprintf(stderr, "nested ParallelFor deadlocked\n");
+    std::abort();
+  }
+  runner.join();
+  EXPECT_EQ(inner.load(), 16);
 }
 
 TEST(SharedExecutor, IsProcessWideSingleton) {

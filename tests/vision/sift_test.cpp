@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "synth/sprites.h"
@@ -129,6 +132,41 @@ TEST(Sift, EmptyVsNonEmptyIsDissimilar) {
   const auto kps = ExtractSift(SceneWithBlobs(160, 120, 10, 9));
   ASSERT_FALSE(kps.empty());
   EXPECT_DOUBLE_EQ(MatchSift({}, kps).similarity, 0.0);
+}
+
+TEST(Sift, LoneKeypointInBStillBoundsSimilarity) {
+  // With |b| = 1 there is no second neighbour for the ratio test: each of
+  // a's five keypoints matches the lone one, and similarity is 5 / 5.
+  const auto kps = ExtractSift(SceneWithBlobs(160, 120, 12, 12));
+  ASSERT_GE(kps.size(), 6u);
+  const std::vector<SiftKeypoint> a(kps.begin(), kps.begin() + 5);
+  const std::vector<SiftKeypoint> b(kps.begin() + 5, kps.begin() + 6);
+  const SiftMatchResult r = MatchSift(a, b);
+  EXPECT_EQ(r.candidates, 5u);
+  EXPECT_EQ(r.matches, 5u);
+  EXPECT_DOUBLE_EQ(r.similarity, 1.0);
+}
+
+TEST(Sift, SimilarityStaysInUnitIntervalForAnySizes) {
+  // Seeded sweep over keypoint sets of unequal sizes, both ways round:
+  // similarity is a fraction of a's keypoints, never above 1.
+  for (std::uint64_t seed = 20; seed < 28; ++seed) {
+    const auto x = ExtractSift(SceneWithBlobs(160, 120, 12, seed));
+    const auto y = ExtractSift(SceneWithBlobs(160, 120, 6, seed + 100));
+    for (std::size_t keep : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                             y.size()}) {
+      const std::vector<SiftKeypoint> few(
+          y.begin(), y.begin() + std::ptrdiff_t(std::min(keep, y.size())));
+      for (const auto& [a, b] : {std::pair{&x, &few}, std::pair{&few, &x},
+                                 std::pair{&x, &x}}) {
+        const SiftMatchResult r = MatchSift(*a, *b);
+        EXPECT_LE(r.matches, r.candidates) << "seed " << seed;
+        EXPECT_GE(r.similarity, 0.0) << "seed " << seed;
+        EXPECT_LE(r.similarity, 1.0) << "seed " << seed << " |a| " << a->size()
+                                     << " |b| " << b->size();
+      }
+    }
+  }
 }
 
 TEST(Sift, ObjectEntryDropsSimilarity) {

@@ -21,8 +21,11 @@
 # reference run in the same process. Scenarios: encode (reference vs the
 # pruned coder at 1/2/4 threads), motion (full-search pruning), gemm and
 # conv (fp32 GEMM and backbone forward), dct_sad_kernels (scalar vs AVX2 A/B
-# of the dispatch-layer DCT/IDCT/quant/SAD kernels, bit-equality-checked),
-# int8_inference (int8 vs fp32 backbone + the top-1 agreement contract),
+# of the dispatch-layer DCT/IDCT/quant/SAD kernels and the lookahead's block
+# texture, deadzone SAD and 2x decimation, bit-equality-checked), analysis
+# (the serial FrameAnalyzer loop vs AnalyzeVideo's frame-parallel fan-out on
+# the shared pool, bit-identical costs), int8_inference (int8 vs fp32
+# backbone + the top-1 agreement contract),
 # pipelined_encode (frame-level pipelining on vs off at 1/2/4 threads, with
 # a byte-equality check), trace_overhead (trace recorder on vs off: CPU
 # overhead under 2%, outputs byte-identical) and durability (journal
