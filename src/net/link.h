@@ -10,6 +10,14 @@
 // constrained WAN. Its waits are interruptible: Cancel() wakes an
 // in-progress Transfer early (shutdown must never block for a modelled
 // 20-second outage).
+//
+// Modelling deviation: each Transfer sleeps its own message's full
+// TransferSeconds, independently of any other. Concurrent callers (the
+// runtime's wan_parallelism workers) therefore do not share the bandwidth:
+// N workers move up to N times `bandwidth_mbps`. On e2e_bench's
+// wan_durable workload (6 WAN workers, ~7.2 kB per frame) the fixed-rate
+// phase stays under the modelled 30 Mbps (~28 Mbps), but the saturated
+// phase pushes ~80 Mbps through it. docs/robustness.md has the numbers.
 #pragma once
 
 #include <atomic>

@@ -15,6 +15,7 @@
 // interval endpoints (the cross-camera equivalence tests rely on this).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 namespace sieve::query {
@@ -25,6 +26,14 @@ namespace sieve::query {
 struct CameraClock {
   double open_seconds = 0.0;
   double fps = 30.0;
+
+  /// True when both constants are finite and fps > 0: then TimeOf is
+  /// non-decreasing in the frame, which windowed queries rely on. Session
+  /// opens and the journal reader reject other clocks; the index does not
+  /// register them.
+  bool Valid() const noexcept {
+    return std::isfinite(open_seconds) && std::isfinite(fps) && fps > 0;
+  }
 
   /// The shared-clock instant of `frame` (its capture time).
   double TimeOf(std::size_t frame) const noexcept {

@@ -23,6 +23,7 @@ QueryEvent MakeEvent(QueryEvent::Kind kind, const CameraRecord& record,
 
 void QueryIndex::RegisterCamera(const std::string& route,
                                 std::string camera_id, CameraClock clock) {
+  if (!clock.Valid()) return;  // see the precondition in index.h
   std::lock_guard<std::mutex> lock(register_mutex_);
   const auto dir = directory_.load(std::memory_order_acquire);
   if (dir->contains(route)) return;
@@ -146,11 +147,10 @@ std::shared_ptr<const IndexSnapshot> QueryIndex::snapshot() const {
   // stamped version covers, so successive snapshots stay monotonic.
   auto snap = std::make_shared<IndexSnapshot>();
   snap->version = version_.load(std::memory_order_acquire);
-  const auto dir = directory_.load(std::memory_order_acquire);
-  for (const auto& [route, shard] : *dir) {
-    snap->cameras.emplace(route,
-                          shard->record.load(std::memory_order_acquire));
-  }
+  ForEachCamera([&snap](const std::string& route,
+                        std::shared_ptr<const CameraRecord> record) {
+    snap->cameras.emplace(route, std::move(record));
+  });
   return snap;
 }
 

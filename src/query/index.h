@@ -22,13 +22,16 @@
 //    mutable tail), so cloning a camera with 100k intervals costs the
 //    same as cloning one with 10.
 //
-// Read side: wait-free. snapshot() materializes an IndexSnapshot from the
-// directory with one atomic load per camera; FindObject walks chains
-// without locks. Consistency is per-camera prefix consistency: each
-// camera's record in a snapshot reflects an exact prefix of that camera's
-// insert stream. (The pre-sharding index additionally froze all cameras at
-// one instant; sharding trades that cross-camera point-in-time atomicity —
-// which no query needed — for O(1) publication.)
+// Read side: wait-free. Queries walk the directory (ForEachCamera) with one
+// atomic load per camera and materialize nothing; snapshot() copies the
+// same loads into an IndexSnapshot for callers that want to hold a view.
+// A windowed FindObject visits only the runs near its window
+// (IntervalChain::ForEachOverlapping), not the camera's whole history.
+// Consistency is per-camera prefix consistency: each camera's record
+// reflects an exact prefix of that camera's insert stream. (The
+// pre-sharding index additionally froze all cameras at one instant;
+// sharding trades that cross-camera point-in-time atomicity — which no
+// query needed — for O(1) publication.)
 //
 // Equivalence contract (tested): once a camera is sealed with its final
 // frame count, its per-class intervals are bit-exactly the ranges
@@ -36,9 +39,11 @@
 // drained database.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -119,26 +124,61 @@ class IntervalChain {
   void close_back(std::size_t end) noexcept { tail_.back().end = end; }
   void pop_back() noexcept { tail_.pop_back(); }
 
-  /// Visit every run, oldest first, without materializing.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    // Nodes link newest-to-oldest; walk them reversed.
-    std::vector<const Node*> nodes;
-    for (const Node* n = frozen_.get(); n != nullptr; n = n->prev.get()) {
-      nodes.push_back(n);
-    }
-    for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
-      for (const FrameInterval& run : (*it)->runs) fn(run);
-    }
-    for (const FrameInterval& run : tail_) fn(run);
-  }
-
   /// Flat copy, oldest first (tests, rebuild comparisons).
   std::vector<FrameInterval> Materialize() const {
-    std::vector<FrameInterval> out;
-    out.reserve(size());
-    ForEach([&out](const FrameInterval& run) { out.push_back(run); });
+    std::vector<FrameInterval> out(size());
+    // Segments link newest-to-oldest, so fill from the back.
+    auto dst = std::copy_backward(tail_.begin(), tail_.end(), out.end());
+    for (const Node* n = frozen_.get(); n != nullptr; n = n->prev.get()) {
+      dst = std::copy_backward(n->runs.begin(), n->runs.end(), dst);
+    }
     return out;
+  }
+
+  /// Visit, newest first, every run whose span on `clock` overlaps the
+  /// window [t0, t1) by exactly FindObject's test: it does not begin at or
+  /// after t1, and it does not end at or before t0 (an open run ends at
+  /// +inf). `fn(run, begin_seconds, end_seconds)` gets the span.
+  ///
+  /// Requires a monotone clock (CameraClock::Valid): the runs are sorted
+  /// and disjoint, so "begins before t1" holds on a prefix of the chain
+  /// and "ends after t0" on a suffix. The walk skips the chunks wholly at
+  /// or after t1 on their first run, binary-searches the newest chunk that
+  /// begins before t1, and stops at the first run that ends at or before
+  /// t0: O(chunks newer than the window + log kChunk + hits), not
+  /// O(size()). Either bound may be NaN or infinite; a NaN bound filters
+  /// nothing, as in the full scan.
+  template <typename Fn>
+  void ForEachOverlapping(const CameraClock& clock, double t0, double t1,
+                          Fn&& fn) const {
+    const auto begins_before_t1 = [&](const FrameInterval& run) {
+      return !(clock.TimeOf(run.begin) >= t1);
+    };
+    // Set once the walk has passed every run that begins at or after t1.
+    bool all_before_t1 = false;
+    // One segment (tail or chunk), newest first. False once a run ends at
+    // or before t0: every older run does too.
+    const auto visit = [&](const std::vector<FrameInterval>& runs) {
+      auto hi = runs.end();
+      if (!all_before_t1) {
+        if (runs.empty() || !begins_before_t1(runs.front())) return true;
+        hi = std::partition_point(runs.begin(), runs.end(), begins_before_t1);
+        all_before_t1 = true;
+      }
+      for (auto it = hi; it != runs.begin();) {
+        --it;
+        const double end_seconds =
+            it->end == kOpenEnd ? std::numeric_limits<double>::infinity()
+                                : clock.TimeOf(it->end);
+        if (end_seconds <= t0) return false;
+        fn(*it, clock.TimeOf(it->begin), end_seconds);
+      }
+      return true;
+    };
+    if (!visit(tail_)) return;
+    for (const Node* n = frozen_.get(); n != nullptr && visit(n->runs);
+         n = n->prev.get()) {
+    }
   }
 
   /// Replace the chain's contents with `runs` (the out-of-order rebuild
@@ -202,7 +242,9 @@ class QueryIndex {
   QueryIndex& operator=(const QueryIndex&) = delete;
 
   /// Announce a camera incarnation before its first insert can arrive.
-  /// Re-registering an existing route is ignored.
+  /// Re-registering an existing route is ignored. Precondition: a valid
+  /// clock (CameraClock::Valid), which the windowed read path relies on;
+  /// a camera with any other clock is not indexed, so its inserts drop.
   void RegisterCamera(const std::string& route, std::string camera_id,
                       CameraClock clock);
 
@@ -230,6 +272,17 @@ class QueryIndex {
   /// Wait-free consistent view, materialized from the shards (one atomic
   /// load per camera; records are immutable).
   std::shared_ptr<const IndexSnapshot> snapshot() const;
+
+  /// Wait-free walk of every camera incarnation's current record, in route
+  /// order, without materializing a snapshot: one atomic load per camera,
+  /// the same per-camera consistency. `fn(route, record)`.
+  template <typename Fn>
+  void ForEachCamera(Fn&& fn) const {
+    const auto dir = directory_.load(std::memory_order_acquire);
+    for (const auto& [route, shard] : *dir) {
+      fn(route, shard->record.load(std::memory_order_acquire));
+    }
+  }
 
   /// Version of the index (0 = empty): bumps on every effective update.
   std::uint64_t version() const {

@@ -23,32 +23,27 @@ void QueryService::Seal(const std::string& route, std::size_t total_frames) {
 
 std::vector<QueryHit> QueryService::FindObject(synth::ObjectClass cls,
                                                double t0, double t1) const {
-  const auto snap = snapshot();
   std::vector<QueryHit> hits;
-  for (const auto& [route, record] : snap->cameras) {
-    const CameraRecord& cam = *record;
-    cam.intervals[std::size_t(std::uint8_t(cls))].ForEach(
-        [&](const FrameInterval& run) {
-          const bool open = run.end == kOpenEnd;
-          const double begin_seconds = cam.clock.TimeOf(run.begin);
-          const double end_seconds =
-              open ? kEndOfTime : cam.clock.TimeOf(run.end);
-          // Overlap with the half-open query window, tested before the hit
-          // is materialized (narrow windows filter most of a long history).
-          // The hit itself stays the whole event: seek-back wants the full
-          // range, and unclipped endpoints keep drained hits bit-exact vs.
-          // FindObject.
-          if (begin_seconds >= t1 || end_seconds <= t0) return;
-          QueryHit hit;
-          hit.camera_id = cam.camera_id;
-          hit.begin_frame = run.begin;
-          hit.end_frame = run.end;
-          hit.open = open;
-          hit.begin_seconds = begin_seconds;
-          hit.end_seconds = end_seconds;
-          hits.push_back(std::move(hit));
+  index_.ForEachCamera([&](const std::string&,
+                           const std::shared_ptr<const CameraRecord>& cam) {
+    const std::size_t first = hits.size();
+    // Overlap with the half-open window is tested before a hit is built,
+    // and only runs near the window are visited. The hit itself stays the
+    // whole event: seek-back wants the full range, and unclipped endpoints
+    // keep drained hits bit-exact vs. FindObject.
+    cam->intervals[std::size_t(std::uint8_t(cls))].ForEachOverlapping(
+        cam->clock, t0, t1,
+        [&](const FrameInterval& run, double begin_seconds,
+            double end_seconds) {
+          hits.push_back(QueryHit{cam->camera_id, run.begin, run.end,
+                                  begin_seconds, end_seconds,
+                                  run.end == kOpenEnd});
         });
-  }
+    // The walk runs newest first. Restore oldest-first so the sort sees
+    // the sequence a full scan would: it decides the order of equal keys
+    // (two incarnations of one id on clocks that coincide).
+    std::reverse(hits.begin() + std::ptrdiff_t(first), hits.end());
+  });
   std::sort(hits.begin(), hits.end(),
             [](const QueryHit& a, const QueryHit& b) {
               return std::tie(a.begin_seconds, a.camera_id, a.begin_frame) <
@@ -58,15 +53,15 @@ std::vector<QueryHit> QueryService::FindObject(synth::ObjectClass cls,
 }
 
 std::vector<std::string> QueryService::WhereIs(synth::ObjectClass cls) const {
-  const auto snap = snapshot();
   std::vector<std::string> cameras;
-  for (const auto& [route, record] : snap->cameras) {
+  index_.ForEachCamera([&](const std::string&,
+                           const std::shared_ptr<const CameraRecord>& cam) {
     // `current` is the latest analyzed frame's labels; for a live camera
     // it contains cls exactly when the class's last interval is open.
-    if (!record->sealed && record->current.Contains(cls)) {
-      cameras.push_back(record->camera_id);
+    if (!cam->sealed && cam->current.Contains(cls)) {
+      cameras.push_back(cam->camera_id);
     }
-  }
+  });
   std::sort(cameras.begin(), cameras.end());
   cameras.erase(std::unique(cameras.begin(), cameras.end()), cameras.end());
   return cameras;

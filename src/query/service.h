@@ -12,12 +12,13 @@
 //   q.Subscribe(kTruck, on_event);  // standing query: enter/exit pushes
 //
 // Consistency model (see query/index.h for the mechanism): reads are
-// wait-free snapshots — never blocking ingest, never torn, and always a
-// prefix-consistent view of every camera's insert stream (per camera; the
-// sharded index takes each camera's point independently, trading the old
-// cross-camera point-in-time atomicity for O(1) publication). Once a
-// session drains, its hits are bit-exactly its drained database's
-// FindObject(cls, frames_pushed) ranges mapped through the shared clock.
+// wait-free walks of immutable per-camera records — never blocking ingest,
+// never torn, and always a prefix-consistent view of every camera's
+// insert stream (per camera; the sharded index takes each camera's point
+// independently, trading the old cross-camera point-in-time atomicity for
+// O(1) publication). Once a session drains, its hits are bit-exactly its
+// drained database's FindObject(cls, frames_pushed) ranges mapped through
+// the shared clock.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +78,8 @@ class QueryService {
   // public for standalone producers: tests, replay tools, non-runtime feeds.
 
   /// Announce a camera incarnation (unique `route`, display `camera_id`)
-  /// and its position on the shared stream clock.
+  /// and its position on the shared stream clock. A clock that is not
+  /// Valid() is not indexed (see QueryIndex::RegisterCamera).
   void RegisterCamera(const std::string& route, std::string camera_id,
                       CameraClock clock);
 
@@ -97,6 +99,8 @@ class QueryService {
   /// Every appearance interval of `cls`, on every camera, whose shared-clock
   /// interval overlaps [t0, t1). Hits are whole events (endpoints are not
   /// clipped to the window) ordered by (begin_seconds, camera, begin_frame).
+  /// Costs O(cameras + chunks newer than the window + hits), not the
+  /// history's length (docs/queries.md, "Read path and cost").
   std::vector<QueryHit> FindObject(synth::ObjectClass cls,
                                    double t0 = kBeginningOfTime,
                                    double t1 = kEndOfTime) const;

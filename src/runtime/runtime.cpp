@@ -765,6 +765,11 @@ Expected<std::unique_ptr<SieveSession>> Runtime::OpenSession(
       config.height % 2 != 0) {
     return Status::Invalid("OpenSession: dimensions must be positive and even");
   }
+  // Windowed queries need a monotone clock. The open offset comes from the
+  // runtime's own clock, so only fps can break it.
+  if (!query::CameraClock{0.0, config.fps}.Valid()) {
+    return Status::Invalid("OpenSession: fps must be positive and finite");
+  }
 
   // Resolve the placement before taking the registry lock: a kAuto open may
   // measure the layer profile (a few forward passes).

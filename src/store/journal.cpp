@@ -10,6 +10,7 @@
 
 #include "common/bytes.h"
 #include "common/rng.h"
+#include "query/clock.h"
 
 namespace sieve::store {
 
@@ -73,6 +74,11 @@ Expected<JournalRecord> DecodePayload(std::span<const std::uint8_t> payload) {
       if (!open_s.ok()) return open_s.status();
       auto fps = r.GetF64();
       if (!fps.ok()) return fps.status();
+      // The clock must map frames to time monotonically (the query
+      // index's precondition); a CRC-valid record breaking it is corrupt.
+      if (!query::CameraClock{*open_s, *fps}.Valid()) {
+        return Status::Corrupt("journal: register record has an invalid clock");
+      }
       rec.route = std::move(*route);
       rec.camera_id = std::move(*camera_id);
       rec.open_seconds = *open_s;

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
 #include <limits>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/results_db.h"
 
 namespace sieve::query {
@@ -385,6 +389,141 @@ TEST(QueryServiceTest, ReplayOfSealReopenInsertsMatchesLiveRun) {
   for (int c = 0; c < synth::kNumObjectClasses; ++c) {
     ExpectHitsEqual(replayed.FindObject(ObjectClass(c)),
                     live.FindObject(ObjectClass(c)));
+  }
+}
+
+TEST(QueryServiceTest, RegisterCameraIgnoresNonMonotoneClocks) {
+  QueryService service;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const CameraClock bad[] = {{0.0, 0.0},  {0.0, -30.0}, {0.0, kNaN},
+                             {0.0, kInf}, {kNaN, 30.0}, {-kInf, 30.0}};
+  int n = 0;
+  for (const CameraClock& clock : bad) {
+    EXPECT_FALSE(clock.Valid());
+    CameraFeed cam(service, "bad#" + std::to_string(++n), "bad", clock);
+    cam.db.Insert(0, L({ObjectClass::kCar}));
+  }
+  EXPECT_EQ(service.version(), 0u) << "no bad clock may be indexed";
+  EXPECT_TRUE(service.snapshot()->cameras.empty());
+  EXPECT_TRUE(service.FindObject(ObjectClass::kCar).empty());
+  EXPECT_TRUE(service.WhereIs(ObjectClass::kCar).empty());
+
+  CameraFeed good(service, "good#1", "good", CameraClock{-4.0, 25.0});
+  good.db.Insert(0, L({ObjectClass::kCar}));
+  EXPECT_EQ(service.FindObject(ObjectClass::kCar).size(), 1u);
+}
+
+/// The full scan FindObject replaced, kept as the reference: every run of
+/// every camera in a materialized snapshot, filtered, then sorted.
+std::vector<QueryHit> FullScan(const QueryService& service, ObjectClass cls,
+                               double t0, double t1) {
+  std::vector<QueryHit> hits;
+  const auto snap = service.snapshot();
+  for (const auto& [route, cam] : snap->cameras) {
+    for (const FrameInterval& run :
+         cam->intervals[std::size_t(cls)].Materialize()) {
+      const bool open = run.end == kOpenEnd;
+      const double begin_seconds = cam->clock.TimeOf(run.begin);
+      const double end_seconds =
+          open ? QueryService::kEndOfTime : cam->clock.TimeOf(run.end);
+      if (begin_seconds >= t1 || end_seconds <= t0) continue;
+      hits.push_back(QueryHit{cam->camera_id, run.begin, run.end,
+                              begin_seconds, end_seconds, open});
+    }
+  }
+  std::sort(hits.begin(), hits.end(),
+            [](const QueryHit& a, const QueryHit& b) {
+              return std::tie(a.begin_seconds, a.camera_id, a.begin_frame) <
+                     std::tie(b.begin_seconds, b.camera_id, b.begin_frame);
+            });
+  return hits;
+}
+
+TEST(QueryServiceTest, WindowedFindObjectMatchesFullScan) {
+  Rng rng(2024);
+  QueryService service;
+  struct Spec {
+    const char* route;
+    const char* id;
+    CameraClock clock;
+    bool sealed;
+  };
+  const Spec specs[] = {{"a#1", "a", {0.0, 30.0}, false},
+                        {"b#1", "b", {2.5, 25.0}, true},
+                        {"gate#1", "gate", {0.0, 25.0}, true},
+                        {"gate#2", "gate", {1.0, 30.0}, false},
+                        {"c#1", "c", {-3.25, 30.0}, false}};
+  std::vector<std::unique_ptr<CameraFeed>> feeds;
+  for (const Spec& spec : specs) {
+    auto feed =
+        std::make_unique<CameraFeed>(service, spec.route, spec.id, spec.clock);
+    // Each class toggles often enough for 4+ chunks of runs.
+    std::uint8_t bits = 0;
+    std::size_t frame = 0;
+    for (int row = 0; row < 3000; ++row) {
+      for (int c = 0; c < synth::kNumObjectClasses; ++c) {
+        if (rng.Chance(0.45)) bits ^= std::uint8_t(1u << c);
+      }
+      feed->db.Insert(frame, LabelSet(bits));
+      frame += std::size_t(rng.UniformInt(1, 3));
+    }
+    // Every class on screen at the end: open tails on the live cameras,
+    // closed-at-seal runs on the sealed ones.
+    feed->db.Insert(frame, LabelSet(0x1f));
+    if (spec.sealed) service.Seal(spec.route, frame + 5);
+    feeds.push_back(std::move(feed));
+  }
+  // One overwrite midway through: c's chains come from the rebuild path.
+  feeds.back()->db.Insert(600, LabelSet(0x0a));
+  const auto snap = service.snapshot();
+  for (const auto& [route, cam] : snap->cameras) {
+    for (const IntervalChain& chain : cam->intervals) {
+      ASSERT_GT(chain.size(), 4 * IntervalChain::kChunk) << route;
+    }
+  }
+  // Two more incarnations of one id whose clocks coincide at frame 150
+  // (6 s): equal sort keys, whose order the sort takes from its input.
+  CameraFeed tie1(service, "tie#1", "tie", CameraClock{0.0, 25.0});
+  CameraFeed tie2(service, "tie#2", "tie", CameraClock{1.0, 30.0});
+  tie1.db.Insert(150, L({ObjectClass::kCar}));
+  tie1.db.Insert(160, LabelSet());
+  service.Seal("tie#1", 170);
+  tie2.db.Insert(150, L({ObjectClass::kCar}));
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (int c = 0; c < synth::kNumObjectClasses; ++c) {
+    const auto cls = ObjectClass(c);
+    const auto all = FullScan(service, cls, -kInf, kInf);
+    ASSERT_FALSE(all.empty());
+    ExpectHitsEqual(service.FindObject(cls), all);
+
+    std::vector<std::pair<double, double>> windows = {
+        {-kInf, kInf}, {kInf, -kInf}, {-kInf, -kInf}, {kInf, kInf},
+        {kNaN, kNaN},  {kNaN, 30.0},  {30.0, kNaN},   {-kInf, 30.0},
+        {30.0, kInf},  {kNaN, kInf},  {-kInf, kNaN},  {6.0, 6.0}};
+    const double horizon = all.back().begin_seconds + 1.0;
+    for (int k = 0; k < 40; ++k) {
+      // Bounds exactly on interval endpoints, in every combination.
+      const QueryHit& a = all[rng.UniformU64(0, all.size() - 1)];
+      const QueryHit& b = all[rng.UniformU64(0, all.size() - 1)];
+      windows.emplace_back(a.begin_seconds, b.end_seconds);
+      windows.emplace_back(a.end_seconds, b.begin_seconds);
+      windows.emplace_back(a.begin_seconds, a.end_seconds);
+      windows.emplace_back(a.end_seconds, a.end_seconds);
+      // Random windows of every width, and reversed ones (t1 <= t0).
+      const double t0 = rng.Uniform(-5.0, horizon);
+      const double width = std::exp(rng.Uniform(-4.0, 5.0));
+      windows.emplace_back(t0, t0 + width);
+      windows.emplace_back(t0 + width, t0);
+    }
+    for (const auto& [t0, t1] : windows) {
+      SCOPED_TRACE("class " + std::to_string(c) + " window [" +
+                   std::to_string(t0) + ", " + std::to_string(t1) + ")");
+      ExpectHitsEqual(service.FindObject(cls, t0, t1),
+                      FullScan(service, cls, t0, t1));
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -81,6 +82,22 @@ TEST_F(RuntimeTest, RejectsOddDimensionsAndDuplicateIds) {
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(runtime.OpenSession("cam", SceneSession()).ok());
   EXPECT_EQ(runtime.session_count(), 1u);
+}
+
+TEST_F(RuntimeTest, RejectsNonPositiveOrNonFiniteFps) {
+  Runtime runtime(SmallConfig(), classifier_);
+  for (const double fps : {0.0, -30.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    SessionConfig config = SceneSession();
+    config.fps = fps;
+    const auto session = runtime.OpenSession("cam", config);
+    ASSERT_FALSE(session.ok()) << "fps " << fps;
+    EXPECT_EQ(session.status().code(), ErrorCode::kInvalidArgument)
+        << "fps " << fps;
+  }
+  EXPECT_EQ(runtime.session_count(), 0u);
+  EXPECT_EQ(runtime.query().version(), 0u) << "nothing registered";
+  EXPECT_TRUE(runtime.OpenSession("cam", SceneSession()).ok());
 }
 
 TEST_F(RuntimeTest, SingleSessionStreamsToItsDatabase) {

@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -231,6 +233,35 @@ TEST(JournalTest, OversizedLengthPrefixIsCorruptionNotAllocation) {
   ASSERT_TRUE(contents.ok());
   EXPECT_TRUE(contents->tail_truncated);
   EXPECT_TRUE(contents->registered);
+}
+
+TEST(JournalTest, RegisterWithInvalidClockIsCorrupt) {
+  // CRC-valid register records whose clock would make query time run
+  // backwards or undefined: the decoder rejects them like a bad checksum,
+  // so the file is quarantined rather than replayed into the index.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> clocks[] = {
+      {0.0, 0.0}, {0.0, -25.0}, {0.0, kNaN}, {0.0, kInf}, {kNaN, 25.0},
+      {kInf, 25.0}};
+  int n = 0;
+  for (const auto& [open_seconds, fps] : clocks) {
+    const std::string path =
+        Scratch("badclock" + std::to_string(++n)) + "/cam.wal";
+    {
+      auto writer = JournalWriter::Open(path, FsyncPolicy{});
+      ASSERT_TRUE(writer.ok());
+      ASSERT_TRUE(
+          (*writer)->AppendRegister("cam#1", "cam", open_seconds, fps).ok());
+      ASSERT_TRUE((*writer)->AppendInsert(0, 1).ok());
+      ASSERT_TRUE((*writer)->Close().ok());
+    }
+    auto contents = ReadJournal(path);
+    ASSERT_TRUE(contents.ok());
+    EXPECT_FALSE(contents->registered) << "clock " << n;
+    EXPECT_TRUE(contents->mid_corruption) << "clock " << n;
+    EXPECT_TRUE(contents->inserts.empty()) << "clock " << n;
+  }
 }
 
 }  // namespace
